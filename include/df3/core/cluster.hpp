@@ -396,6 +396,10 @@ class Cluster : public sim::Entity, private policy::LadderMechanism {
   double lane_backlog_per_core_ = 0.0;
   int lane_free_cores_ = 0;
   bool lane_snapshot_armed_ = false;
+  /// served_by labels of a returned result, built once: complete() runs
+  /// per request and its callbacks hold these by reference.
+  const std::string served_local_;
+  const std::string served_foreign_;
 };
 
 }  // namespace df3::core

@@ -15,12 +15,30 @@
 ///
 /// Delivery is an event on the owning `Simulation`. Partitions are supported
 /// by disabling links (failure injection).
+///
+/// Route memo. A route is a pure function of (src, dst, payload size) and
+/// the topology, so `route()` remembers every path it computes, keyed on
+/// (src, dst, bit pattern of the size), and returns the identical link
+/// sequence on a repeat — every digest is unchanged by the memo.
+///   - One topology epoch: `add_link` and every real `set_link_up`
+///     transition bump it (a no-op call does not). Both memos — routes and
+///     `min_peer_latency()` — are dropped whole when the epoch moved.
+///   - Bounded: paths live in one flat arena of 32-bit link ids; the table
+///     clears itself when it reaches a fixed entry or arena cap, which keeps
+///     long runs with randomly sized payloads from growing it without limit.
+///   - Every call still validates its arguments; unreachable pairs are
+///     remembered as empty paths and `send()` still fires `on_drop`.
+///
+/// Threading: a `Network` is used from the event-loop thread only. The
+/// `const` queries fill the memos, so no two threads may call into one
+/// `Network` at once; the parallel control lanes never send or route.
 
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -78,7 +96,9 @@ class Network : public sim::Entity {
   [[nodiscard]] std::size_t link_count() const { return links_.size(); }
 
   /// Minimum-delay route for a message of `size`; empty when unreachable.
-  /// The route is the sequence of link indices traversed.
+  /// The route is the sequence of link indices traversed. Memoized (see the
+  /// file comment). Throws `out_of_range` for an unknown node and
+  /// `invalid_argument` for a negative size.
   [[nodiscard]] std::vector<std::size_t> route(NodeId src, NodeId dst, util::Bytes size) const;
 
   /// Unloaded end-to-end delay along the current best route (no queuing).
@@ -90,9 +110,9 @@ class Network : public sim::Entity {
   /// lookahead bound of the parallel control plane (DESIGN.md §12): no
   /// cross-cluster influence travels faster than the fastest live link's
   /// base latency, so control lanes may advance one tick instant
-  /// independently whenever this is positive. Cached O(1); the cache is
-  /// invalidated by add_link and by set_link_up state changes (LinkFlapper
-  /// transitions arrive through set_link_up). +infinity when no link is up:
+  /// independently whenever this is positive. Cached O(1) per topology
+  /// epoch (LinkFlapper transitions arrive through set_link_up, which bumps
+  /// it). +infinity when no link is up:
   /// a fully partitioned fleet exchanges no messages at all, which is the
   /// loosest possible lookahead, not a hazard.
   [[nodiscard]] util::Seconds min_peer_latency() const;
@@ -106,6 +126,15 @@ class Network : public sim::Entity {
   [[nodiscard]] const LinkStats& stats(std::size_t link) const;
   [[nodiscard]] std::uint64_t messages_sent() const { return sent_; }
   [[nodiscard]] std::uint64_t messages_dropped() const { return dropped_; }
+  /// Route-memo bounds (fixed, not configurable): the memo clears itself
+  /// when it holds this many paths or link ids. At the caps it holds
+  /// ~4 MiB of arena plus the table, whatever the run length.
+  static constexpr std::size_t kRouteMemoMaxEntries = std::size_t{1} << 16;
+  static constexpr std::size_t kRouteArenaMaxIds = std::size_t{1} << 20;
+  /// Route-memo lookups answered from / missing the memo (observation only;
+  /// same-node and invalid queries count as neither).
+  [[nodiscard]] std::uint64_t route_cache_hits() const { return route_hits_; }
+  [[nodiscard]] std::uint64_t route_cache_misses() const { return route_misses_; }
 
  private:
   struct Link {
@@ -121,6 +150,28 @@ class Network : public sim::Entity {
     return from == l.a ? 0 : 1;
   }
 
+  struct RouteKey {
+    NodeId src, dst;
+    std::uint64_t size_bits;
+    bool operator==(const RouteKey&) const = default;
+  };
+  struct RouteKeyHash {
+    std::size_t operator()(const RouteKey& k) const noexcept;
+  };
+  /// A memoized path: `len` link ids from `route_arena_[offset]`; len 0 =
+  /// unreachable.
+  struct RouteSpan {
+    std::uint32_t offset, len;
+  };
+
+  /// route() without the copy: validates, then returns the memoized path
+  /// (computed on a miss; empty for src == dst or unreachable). The span
+  /// points into `route_arena_` and is valid until the next route query.
+  [[nodiscard]] std::span<const std::uint32_t> cached_route(NodeId src, NodeId dst,
+                                                            util::Bytes size) const;
+  /// Dijkstra from scratch; appends the path to `route_arena_`.
+  RouteSpan compute_route(NodeId src, NodeId dst, util::Bytes size) const;
+
   std::vector<std::string> node_names_;
   std::unordered_map<std::string, NodeId> by_name_;
   std::vector<Link> links_;
@@ -128,8 +179,17 @@ class Network : public sim::Entity {
   std::uint64_t sent_ = 0;
   std::uint64_t dropped_ = 0;
   mutable LinkStats merged_stats_{};  // scratch for stats() aggregation
-  /// min_peer_latency() memo; < 0 = stale (recompute on next query).
-  mutable double min_peer_latency_cache_ = -1.0;
+  /// Topology epoch: bumped by add_link and real set_link_up transitions.
+  std::uint64_t topology_epoch_ = 0;
+  /// min_peer_latency() memo, valid while its epoch matches.
+  mutable double min_peer_latency_cache_ = 0.0;
+  mutable std::uint64_t min_peer_latency_epoch_ = UINT64_MAX;
+  /// Route memo, valid while its epoch matches (see the file comment).
+  mutable std::unordered_map<RouteKey, RouteSpan, RouteKeyHash> route_memo_;
+  mutable std::vector<std::uint32_t> route_arena_;
+  mutable std::uint64_t route_memo_epoch_ = 0;
+  mutable std::uint64_t route_hits_ = 0;
+  mutable std::uint64_t route_misses_ = 0;
 };
 
 }  // namespace df3::net

@@ -24,7 +24,9 @@ Cluster::Cluster(sim::Simulation& sim, std::string name, ClusterConfig config,
       network_(network),
       gateway_node_(gateway_node),
       sink_(std::move(sink)),
-      queue_(config_.discipline) {
+      queue_(config_.discipline),
+      served_local_(this->name() + ":local"),
+      served_foreign_(this->name() + ":foreign") {
   if (!sink_) throw std::invalid_argument("Cluster: null completion sink");
   if (config_.dedicated_edge_workers < 0) {
     throw std::invalid_argument("Cluster: negative dedicated_edge_workers");
@@ -563,11 +565,11 @@ void Cluster::complete(const std::shared_ptr<RequestState>& state) {
   const net::NodeId from = (p->preferred_worker != SIZE_MAX && p->served_worker < workers_.size())
                                ? workers_[p->served_worker]->node()
                                : gateway_node_;
-  const std::string via = name() + (p->foreign ? ":foreign" : ":local");
+  const std::string& via = p->foreign ? served_foreign_ : served_local_;
   network_.send(
       net::Message{from, p->origin, state->request.output_size, state->request.id,
                    obs::HopKind::kReturn},
-      [p, state, via](sim::Time delivered) {
+      [p, state, &via](sim::Time delivered) {
         workload::CompletionRecord rec;
         rec.request = state->request;
         rec.completed_at = delivered;
@@ -577,7 +579,7 @@ void Cluster::complete(const std::shared_ptr<RequestState>& state) {
         rec.served_by = via;
         p->sink(std::move(rec));
       },
-      [p, state, via, this] {
+      [p, state, &via, this] {
         // The work was done (stats_.completed already counted it); only
         // the result transport was lost, so no further cluster counter.
         workload::CompletionRecord rec;

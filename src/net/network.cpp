@@ -1,12 +1,26 @@
 #include "df3/net/network.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <queue>
 #include <stdexcept>
 
 #include "df3/obs/obs.hpp"
 
 namespace df3::net {
+
+std::size_t Network::RouteKeyHash::operator()(const RouteKey& k) const noexcept {
+  // splitmix64 finalizer over the packed endpoints, then over the size bits.
+  const auto mix = [](std::uint64_t x) {
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ULL;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+  };
+  const std::uint64_t ends = (std::uint64_t{k.src} << 32) | k.dst;
+  return static_cast<std::size_t>(mix(mix(ends) ^ k.size_bits));
+}
 
 Network::Network(sim::Simulation& sim, std::string name) : sim::Entity(sim, std::move(name)) {}
 
@@ -38,7 +52,7 @@ std::size_t Network::add_link(NodeId a, NodeId b, LinkProfile profile) {
   const std::size_t idx = links_.size() - 1;
   adjacency_[a].push_back(idx);
   adjacency_[b].push_back(idx);
-  min_peer_latency_cache_ = -1.0;
+  ++topology_epoch_;
   return idx;
 }
 
@@ -46,27 +60,53 @@ void Network::set_link_up(std::size_t link, bool up) {
   Link& l = links_.at(link);
   if (l.up != up) {
     l.up = up;
-    min_peer_latency_cache_ = -1.0;
+    ++topology_epoch_;
   }
 }
 bool Network::link_up(std::size_t link) const { return links_.at(link).up; }
 
 util::Seconds Network::min_peer_latency() const {
-  if (min_peer_latency_cache_ < 0.0) {
+  if (min_peer_latency_epoch_ != topology_epoch_) {
     double m = std::numeric_limits<double>::infinity();
     for (const Link& l : links_) {
       if (l.up) m = std::min(m, l.profile.base_latency.value());
     }
     min_peer_latency_cache_ = m;
+    min_peer_latency_epoch_ = topology_epoch_;
   }
   return util::Seconds{min_peer_latency_cache_};
 }
 
 std::vector<std::size_t> Network::route(NodeId src, NodeId dst, util::Bytes size) const {
+  const auto path = cached_route(src, dst, size);
+  return {path.begin(), path.end()};
+}
+
+std::span<const std::uint32_t> Network::cached_route(NodeId src, NodeId dst,
+                                                     util::Bytes size) const {
   if (src >= node_names_.size() || dst >= node_names_.size()) {
     throw std::out_of_range("Network::route: unknown node");
   }
+  if (size.value() < 0.0) throw std::invalid_argument("Network::route: negative size");
   if (src == dst) return {};
+  if (route_memo_epoch_ != topology_epoch_ || route_memo_.size() >= kRouteMemoMaxEntries ||
+      route_arena_.size() >= kRouteArenaMaxIds) {
+    route_memo_.clear();
+    route_arena_.clear();
+    route_memo_epoch_ = topology_epoch_;
+  }
+  const RouteKey key{src, dst, std::bit_cast<std::uint64_t>(size.value())};
+  auto it = route_memo_.find(key);
+  if (it != route_memo_.end()) {
+    ++route_hits_;
+  } else {
+    ++route_misses_;
+    it = route_memo_.emplace(key, compute_route(src, dst, size)).first;
+  }
+  return {route_arena_.data() + it->second.offset, it->second.len};
+}
+
+Network::RouteSpan Network::compute_route(NodeId src, NodeId dst, util::Bytes size) const {
   // Dijkstra over unloaded one-hop delay for this payload size.
   constexpr double kInf = std::numeric_limits<double>::infinity();
   std::vector<double> dist(node_names_.size(), kInf);
@@ -94,20 +134,22 @@ std::vector<std::size_t> Network::route(NodeId src, NodeId dst, util::Bytes size
       }
     }
   }
-  if (dist[dst] == kInf) return {};
-  std::vector<std::size_t> path;
-  for (NodeId cur = dst; cur != src; cur = via_node[cur]) path.push_back(via_link[cur]);
-  std::reverse(path.begin(), path.end());
-  return path;
+  const auto offset = static_cast<std::uint32_t>(route_arena_.size());
+  if (dist[dst] == kInf) return {offset, 0};
+  for (NodeId cur = dst; cur != src; cur = via_node[cur]) {
+    route_arena_.push_back(static_cast<std::uint32_t>(via_link[cur]));
+  }
+  std::reverse(route_arena_.begin() + offset, route_arena_.end());
+  return {offset, static_cast<std::uint32_t>(route_arena_.size() - offset)};
 }
 
 std::optional<util::Seconds> Network::unloaded_delay(NodeId src, NodeId dst,
                                                      util::Bytes size) const {
   if (src == dst) return util::Seconds{0.0};
-  const auto path = route(src, dst, size);
+  const auto path = cached_route(src, dst, size);
   if (path.empty()) return std::nullopt;
   util::Seconds total{0.0};
-  for (const std::size_t li : path) total += links_[li].profile.one_hop_delay(size);
+  for (const std::uint32_t li : path) total += links_[li].profile.one_hop_delay(size);
   return total;
 }
 
@@ -119,7 +161,7 @@ void Network::send(const Message& msg, std::function<void(sim::Time)> on_deliver
     sim().schedule_in(0.0, [cb = std::move(on_delivery), t = now()] { cb(t); });
     return;
   }
-  const auto path = route(msg.src, msg.dst, msg.size);
+  const auto path = cached_route(msg.src, msg.dst, msg.size);
   if (path.empty()) {
     ++dropped_;
     if (on_drop) sim().schedule_in(0.0, std::move(on_drop));
@@ -130,7 +172,7 @@ void Network::send(const Message& msg, std::function<void(sim::Time)> on_deliver
   // occupancy is reserved immediately (cut-through per hop).
   sim::Time t = now();
   NodeId at = msg.src;
-  for (const std::size_t li : path) {
+  for (const std::uint32_t li : path) {
     Link& l = links_[li];
     const std::size_t dir = direction(l, at);
     const sim::Time start = std::max(t, l.next_free[dir]);

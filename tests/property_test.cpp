@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "df3/core/cluster.hpp"
 #include "df3/core/scheduler.hpp"
@@ -78,6 +79,14 @@ INSTANTIATE_TEST_SUITE_P(
                       RoomCase{0.06, 8.0e5, 0.0, 30.0}));
 
 // -------------------------------------------------------- cpu invariants ---
+
+// gtest would otherwise print a spec as raw bytes, heap pointers included,
+// and gtest_discover_tests puts that printout into the ctest name — a name
+// that then changes with every build. Print the catalogue name instead.
+namespace df3::hw {
+void PrintTo(const CpuSpec& spec, std::ostream* os) { *os << spec.model; }
+void PrintTo(const ServerSpec& spec, std::ostream* os) { *os << spec.family; }
+}  // namespace df3::hw
 
 class CpuProperty : public ::testing::TestWithParam<hw::CpuSpec> {};
 

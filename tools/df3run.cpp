@@ -58,11 +58,13 @@
 // Policy names resolve through policy::Registry::global(); unknown names —
 // and unrecognized scenario keys (typos) — abort with a loud error.
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "df3/df3.hpp"
@@ -302,6 +304,21 @@ int run(const std::string& config_path, const Options& opts) {
   if (control_threads < 0) throw std::invalid_argument("control_threads must be >= 0");
   if (shard_rooms <= 0) throw std::invalid_argument("shard_rooms must be > 0");
   if (federation_degree < 0) throw std::invalid_argument("federation_degree must be >= 0");
+  // Flow rates and periods: 0 switches a flow off, so a negative or NaN
+  // value would silently drop it instead of failing.
+  const std::pair<const char*, double> flow_keys[] = {
+      {"edge_alarm_rate", edge_alarm_rate},
+      {"edge_map_rate", edge_map_rate},
+      {"telemetry_period_s", telemetry_period_s},
+      {"cloud_render_interval_s", cloud_render_interval_s},
+      {"cloud_risk_interval_s", cloud_risk_interval_s},
+  };
+  for (const auto& [key, value] : flow_keys) {
+    if (!std::isfinite(value) || value < 0.0) {
+      throw std::invalid_argument(std::string(key) + " must be a finite number >= 0 (got " +
+                                  std::to_string(value) + ")");
+    }
+  }
 
   const std::string csv = !opts.csv.empty() ? opts.csv : csv_key;
   const std::string trace = !opts.trace.empty() ? opts.trace : trace_key;
