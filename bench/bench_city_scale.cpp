@@ -6,21 +6,19 @@
 // winter/summer pair brackets the kernel's cost envelope.
 //
 // Room counts come from DF3_SCALE_ROOMS (csv, default
-// "1000,10000,100000,1000000") and thread points from DF3_SCALE_THREADS
-// (csv, default "1,2,8"; a bare "N" drives both the physics fan-out and the
-// control lanes with N threads, "P:C" sets them independently). Every size
-// runs a fixed warm-up, then a
-// timed window sized to ~4e7 room-ticks (clamped to [30, one-week] ticks)
-// so a million-room row costs seconds, not hours, while the small sizes
-// still integrate over enough ticks to be stable. Cities mix fidelities —
-// every third building is 2R2C — so both vector kernels and the dispatch
-// between them are on the measured path. Peer federation uses the
+// "1000,10000,100000,1000000") and thread counts (PlatformConfig::threads)
+// from DF3_SCALE_THREADS (csv, default "1,2,8"). Every size runs a fixed
+// warm-up, then a timed window sized to ~4e7 room-ticks (clamped to
+// [30, one-week] ticks) so a million-room row costs seconds, not hours,
+// while the small sizes still integrate over enough ticks to be stable.
+// Cities mix fidelities — every third building is 2R2C — so both vector
+// kernels and the dispatch between them are on the measured path. Peer federation uses the
 // two-neighbor ring: the full-mesh default is O(buildings^2) pointers,
 // which at 100k buildings is wiring cost, not kernel cost.
 //
 // Output: a console table plus BENCH_scale.json (path overridable with
 // DF3_BENCH_JSON): ns/room-tick, items/s, gated district fraction, shard
-// count and the physics/control thread counts per row.
+// count and the effective thread count per row.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -45,10 +43,11 @@ constexpr std::uint64_t kTargetItems = 40'000'000;
 constexpr std::uint64_t kMinTicks = 30;
 constexpr std::uint64_t kMaxTicks = 10'080;  // one simulated week at 60 s
 
-std::vector<std::size_t> scale_rooms() {
-  const char* env = std::getenv("DF3_SCALE_ROOMS");
-  const std::string csv = env != nullptr ? env : "1000,10000,100000,1000000";
-  std::vector<std::size_t> rooms;
+/// Positive counts from a comma-separated environment variable.
+std::vector<std::size_t> env_counts(const char* name, const char* fallback) {
+  const char* env = std::getenv(name);
+  const std::string csv = env != nullptr ? env : fallback;
+  std::vector<std::size_t> counts;
   std::size_t pos = 0;
   while (pos <= csv.size()) {
     const std::size_t comma = csv.find(',', pos);
@@ -56,57 +55,22 @@ std::vector<std::size_t> scale_rooms() {
     const std::string tok = csv.substr(pos, end - pos);
     if (!tok.empty()) {
       const unsigned long long v = std::strtoull(tok.c_str(), nullptr, 10);
-      if (v > 0) rooms.push_back(static_cast<std::size_t>(v));
+      if (v > 0) counts.push_back(static_cast<std::size_t>(v));
     }
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
-  return rooms;
+  return counts;
 }
 
-/// One point on the threads axis: the physics fan-out and control-lane
-/// counts handed to PlatformConfig (explicit, so the bench is independent
-/// of DF3_PHYSICS_THREADS / DF3_CONTROL_THREADS in the environment).
-struct ThreadPoint {
-  std::size_t physics;
-  std::size_t control;
-};
-
-std::vector<ThreadPoint> scale_threads() {
-  const char* env = std::getenv("DF3_SCALE_THREADS");
-  const std::string csv = env != nullptr ? env : "1,2,8";
-  std::vector<ThreadPoint> pts;
-  std::size_t pos = 0;
-  while (pos <= csv.size()) {
-    const std::size_t comma = csv.find(',', pos);
-    const std::size_t end = comma == std::string::npos ? csv.size() : comma;
-    const std::string tok = csv.substr(pos, end - pos);
-    if (!tok.empty()) {
-      const std::size_t colon = tok.find(':');
-      const unsigned long p = std::strtoul(tok.c_str(), nullptr, 10);
-      const unsigned long c = colon == std::string::npos
-                                  ? p
-                                  : std::strtoul(tok.c_str() + colon + 1, nullptr, 10);
-      if (p > 0 && c > 0) {
-        pts.push_back({static_cast<std::size_t>(p), static_cast<std::size_t>(c)});
-      }
-    }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  if (pts.empty()) pts.push_back({1, 1});
-  return pts;
-}
-
-core::PlatformConfig scale_config(int month, ThreadPoint tp) {
+core::PlatformConfig scale_config(int month, std::size_t threads) {
   core::PlatformConfig pc;
   pc.seed = 2016;
   pc.start_time = thermal::start_of_month(month);
   pc.climate = thermal::paris_climate();
   pc.with_datacenter = false;
   pc.federation_degree = 2;
-  pc.physics_threads = tp.physics;
-  pc.control_threads = tp.control;
+  pc.threads = threads;
   return pc;
 }
 
@@ -117,13 +81,12 @@ struct Row {
   double items_per_s;
   double gated_fraction;
   std::size_t shards;
-  std::size_t physics_threads;
-  std::size_t control_threads;
+  std::size_t threads;
 };
 
-Row run_row(std::size_t rooms, int month, const char* season, ThreadPoint tp) {
+Row run_row(std::size_t rooms, int month, const char* season, std::size_t threads) {
   const std::size_t buildings = std::max<std::size_t>(1, rooms / kRoomsPerBuilding);
-  core::Df3Platform city(scale_config(month, tp));
+  core::Df3Platform city(scale_config(month, threads));
   for (std::size_t i = 0; i < buildings; ++i) {
     core::BuildingConfig b;
     b.name = "b" + std::to_string(i);
@@ -131,7 +94,7 @@ Row run_row(std::size_t rooms, int month, const char* season, ThreadPoint tp) {
     b.high_fidelity_rooms = (i % 3 == 2);
     city.add_building(b);
   }
-  const double tick_s = scale_config(month, tp).tick_s;
+  const double tick_s = scale_config(month, threads).tick_s;
   city.run(util::Seconds{static_cast<double>(kWarmupTicks) * tick_s});
 
   const std::size_t total_rooms = buildings * kRoomsPerBuilding;
@@ -155,11 +118,9 @@ Row run_row(std::size_t rooms, int month, const char* season, ThreadPoint tp) {
   r.items_per_s = items / secs;
   r.gated_fraction = dd > 0 ? static_cast<double>(dg) / static_cast<double>(dd) : 0.0;
   r.shards = city.shard_count();
-  // Report the *effective* counts: the platform clamps both fan-outs to the
-  // shard/lane count, so an 8-thread request over 3 shards runs (and is
-  // recorded as) 3.
-  r.physics_threads = std::min(tp.physics, std::max<std::size_t>(1, r.shards));
-  r.control_threads = std::min(tp.control, std::max<std::size_t>(1, r.shards));
+  // Report the *effective* count: the platform clamps it to the shard
+  // count, so an 8-thread request over 3 shards runs (and is recorded as) 3.
+  r.threads = std::min(threads, std::max<std::size_t>(1, r.shards));
   return r;
 }
 
@@ -169,18 +130,20 @@ int main() {
   std::printf("bench_city_scale: sharded fleet kernel, %zu rooms/building, "
               "timed window ~%llu room-ticks\n\n",
               kRoomsPerBuilding, static_cast<unsigned long long>(kTargetItems));
-  std::printf("%9s %7s %12s %14s %8s %7s %8s %8s\n", "rooms", "season", "ns/room-tick",
-              "items/s", "gated", "shards", "phys", "ctrl");
+  std::printf("%9s %7s %12s %14s %8s %7s %8s\n", "rooms", "season", "ns/room-tick",
+              "items/s", "gated", "shards", "threads");
 
   std::vector<Row> rows;
-  for (const std::size_t rooms : scale_rooms()) {
+  std::vector<std::size_t> thread_counts = env_counts("DF3_SCALE_THREADS", "1,2,8");
+  if (thread_counts.empty()) thread_counts.push_back(1);
+  for (const std::size_t rooms : env_counts("DF3_SCALE_ROOMS", "1000,10000,100000,1000000")) {
     for (const auto& [month, season] : {std::pair{0, "winter"}, std::pair{6, "summer"}}) {
-      for (const ThreadPoint tp : scale_threads()) {
-        const Row r = run_row(rooms, month, season, tp);
+      for (const std::size_t threads : thread_counts) {
+        const Row r = run_row(rooms, month, season, threads);
         rows.push_back(r);
-        std::printf("%9zu %7s %12.1f %14.3e %7.1f%% %7zu %8zu %8zu\n", r.rooms, r.season,
+        std::printf("%9zu %7s %12.1f %14.3e %7.1f%% %7zu %8zu\n", r.rooms, r.season,
                     r.ns_per_room_tick, r.items_per_s, 100.0 * r.gated_fraction, r.shards,
-                    r.physics_threads, r.control_threads);
+                    r.threads);
       }
     }
   }
@@ -192,14 +155,12 @@ int main() {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     out << "    {\"name\": \"city_scale/rooms:" << r.rooms << "/season:" << r.season
-        << "/pt:" << r.physics_threads << "/ct:" << r.control_threads << "\""
+        << "/threads:" << r.threads << "\""
         << ", \"rooms\": " << r.rooms << ", \"season\": \"" << r.season << "\""
         << ", \"ns_per_room_tick\": " << r.ns_per_room_tick
         << ", \"items_per_s\": " << r.items_per_s
         << ", \"gated_fraction\": " << r.gated_fraction << ", \"shards\": " << r.shards
-        << ", \"threads\": " << r.physics_threads
-        << ", \"physics_threads\": " << r.physics_threads
-        << ", \"control_threads\": " << r.control_threads << '}'
+        << ", \"threads\": " << r.threads << '}'
         << (i + 1 < rows.size() ? "," : "") << '\n';
   }
   out << "  ]\n}\n";

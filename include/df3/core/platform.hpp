@@ -95,26 +95,22 @@ struct PlatformConfig {
   /// Simulation start time (seconds since Jan 1); use
   /// thermal::start_of_month to start mid-season.
   sim::Time start_time = 0.0;
-  /// Worker threads for the parallel physics phase of the tick: 0 = the
-  /// DF3_PHYSICS_THREADS environment override when set, else one per
-  /// hardware thread; 1 = fully serial. The effective count is additionally
-  /// clamped to the shard count so tiny fleets never park idle workers. The
-  /// phase split keeps results bit-for-bit identical for every value (see
-  /// DESIGN.md, "Fleet-physics kernel").
-  std::size_t physics_threads = 0;
-  /// Worker threads for the control phase of the tick — the parallel
-  /// control lanes (DESIGN.md §12). Each district shard is a lane whose
-  /// building-local control decisions (thermostat math, DVFS regulation,
-  /// inlet feedback, quiet-proof re-derivation) advance independently
-  /// within the conservative horizon `now + Network::min_peer_latency()`;
-  /// cross-lane effects (ledger reduction, event scheduling, peer pumps)
-  /// drain serially in building-major order at the lane boundary. 0 = the
-  /// DF3_CONTROL_THREADS environment override when set, else one per
-  /// hardware thread; 1 = the serial sweep. Clamped to the lane (shard)
-  /// count; falls back to the serial sweep when the lookahead is zero
-  /// (some up link has zero base latency). Bit-for-bit neutral at every
-  /// value.
-  std::size_t control_threads = 0;
+  /// Worker threads for the tick: 0 = one per hardware thread, 1 = fully
+  /// serial. The effective count is clamped to the shard count, so a fleet
+  /// with fewer districts than cores never parks idle workers. The tick has
+  /// two execution shapes (DESIGN.md §8.1, §12):
+  ///  - *fused serial* — one building-major pass running physics, lane math
+  ///    and the boundary drain per building; taken when the effective count
+  ///    is 1, or when the conservative lookahead
+  ///    `Network::min_peer_latency()` is zero (some up link has zero base
+  ///    latency), which forbids independent control lanes;
+  ///  - *staged* — physics fans out one work item per district shard, then
+  ///    the control lanes (one per shard) make every building-local control
+  ///    decision on the same pool, then the cross-lane effects (ledger
+  ///    reduction, event scheduling, peer pumps) drain serially in
+  ///    building-major order.
+  /// Bit-for-bit neutral at every value.
+  std::size_t threads = 0;
   /// Target rooms per physics shard (district). Buildings are packed into
   /// shards in insertion order until a shard reaches this many rooms, so
   /// the room -> shard map is stable for a given build order; building-major
@@ -281,10 +277,10 @@ class Df3Platform {
   /// provably skipped at a bitwise fixed point by gated districts).
   [[nodiscard]] std::uint64_t substeps_run() const { return substeps_run_; }
   [[nodiscard]] std::uint64_t substeps_skipped() const { return substeps_skipped_; }
-  /// Parallel-control-plane accounting (DESIGN.md §12): ticks whose control
-  /// phase fanned out over lanes, and ticks where a zero conservative
-  /// lookahead (some up link with zero base latency) forced the serial
-  /// sweep despite an effective control_threads > 1.
+  /// Execution-shape accounting (DESIGN.md §12): ticks that ran staged
+  /// (control fanned out over lanes), and ticks where a zero conservative
+  /// lookahead (some up link with zero base latency) forced the fused
+  /// serial sweep despite an effective thread count > 1.
   [[nodiscard]] std::uint64_t lane_parallel_ticks() const { return lane_parallel_ticks_; }
   [[nodiscard]] std::uint64_t lane_fallback_ticks() const { return lane_fallback_ticks_; }
 
@@ -450,8 +446,7 @@ class Df3Platform {
   void control_building_reduce(std::size_t b, metrics::EnergyLedger::Accumulator& energy,
                                double& city_demand_w, double& city_cores, double& temp_sum,
                                std::size_t& room_count);
-  [[nodiscard]] std::size_t physics_thread_count() const;
-  [[nodiscard]] std::size_t control_thread_count() const;
+  [[nodiscard]] std::size_t thread_count() const;
   [[nodiscard]] Cluster* route_cloud_target();
   /// Resolve building `b`'s grid_region name against the installed plane
   /// and bind its cluster to the per-tick sample slot.
@@ -531,11 +526,10 @@ class Df3Platform {
   std::vector<std::vector<std::string>> lane_findings_;
   std::uint64_t lane_parallel_ticks_ = 0;
   std::uint64_t lane_fallback_ticks_ = 0;
-  std::unique_ptr<util::ThreadPool> physics_pool_;  ///< lazily created; shared with control lanes
-  /// Resolved physics_threads (0 = not yet queried); hardware_concurrency
-  /// is a per-call sysconf lookup, far too slow for the tick path.
-  mutable std::size_t physics_threads_resolved_ = 0;
-  mutable std::size_t control_threads_resolved_ = 0;
+  std::unique_ptr<util::ThreadPool> pool_;  ///< lazily created; serves physics and lanes
+  /// Resolved thread count (0 = not yet queried); hardware_concurrency is a
+  /// per-call sysconf lookup, far too slow for the tick path.
+  mutable std::size_t threads_resolved_ = 0;
   /// Cloud-routing decision policy; df-first unless overridden.
   std::unique_ptr<policy::RoutingPolicy> routing_;
   /// Per-pick scratch for routing policies that need cluster info.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <ostream>
 #include <stdexcept>
 #include <thread>
@@ -24,7 +23,9 @@ Df3Platform::Df3Platform(PlatformConfig config)
     : config_(std::move(config)),
       weather_(config_.climate, config_.seed ^ 0x5ca1ab1eULL),
       auditor_(config_.audit) {
-  if (config_.tick_s <= 0.0) throw std::invalid_argument("Df3Platform: tick must be positive");
+  if (!(config_.tick_s > 0.0) || !std::isfinite(config_.tick_s)) {
+    throw std::invalid_argument("Df3Platform: tick must be positive and finite");
+  }
 #ifndef DF3_OBS_DISABLED
   if (config_.obs.level != obs::TraceLevel::kOff) {
     obs_ = std::make_unique<obs::Observability>(config_.obs);
@@ -690,48 +691,15 @@ void Df3Platform::physics_shard(std::size_t s, sim::Time t, util::Celsius t_out,
   shard_substeps_skipped_[s] = skipped;
 }
 
-std::size_t Df3Platform::physics_thread_count() const {
+std::size_t Df3Platform::thread_count() const {
   // hardware_concurrency() is a sysconf query (~microseconds) — resolve it
   // once and reuse; the machine's core count does not change mid-run.
-  if (physics_threads_resolved_ == 0) {
-    std::size_t n = config_.physics_threads;
-    if (n == 0) {
-      // DF3_PHYSICS_THREADS overrides auto-detection (CI and bench sweeps
-      // pin the parallel width without recompiling scenarios); an explicit
-      // config value still wins over the environment.
-      if (const char* env = std::getenv("DF3_PHYSICS_THREADS")) {
-        char* parse_end = nullptr;
-        const unsigned long v = std::strtoul(env, &parse_end, 10);
-        if (parse_end != env && *parse_end == '\0' && v > 0) {
-          n = static_cast<std::size_t>(v);
-        }
-      }
-    }
-    if (n == 0) n = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    physics_threads_resolved_ = n;
+  if (threads_resolved_ == 0) {
+    threads_resolved_ = config_.threads != 0
+                            ? config_.threads
+                            : std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  return physics_threads_resolved_;
-}
-
-std::size_t Df3Platform::control_thread_count() const {
-  // Mirrors physics_thread_count(): explicit config wins, then the
-  // DF3_CONTROL_THREADS environment override, then hardware concurrency;
-  // resolved once (hardware_concurrency is a sysconf query).
-  if (control_threads_resolved_ == 0) {
-    std::size_t n = config_.control_threads;
-    if (n == 0) {
-      if (const char* env = std::getenv("DF3_CONTROL_THREADS")) {
-        char* parse_end = nullptr;
-        const unsigned long v = std::strtoul(env, &parse_end, 10);
-        if (parse_end != env && *parse_end == '\0' && v > 0) {
-          n = static_cast<std::size_t>(v);
-        }
-      }
-    }
-    if (n == 0) n = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    control_threads_resolved_ = n;
-  }
-  return control_threads_resolved_;
+  return threads_resolved_;
 }
 
 void Df3Platform::control_building_math(std::size_t b, double t_out_c,
@@ -945,15 +913,21 @@ void Df3Platform::tick(sim::Time t) {
   // hand-offs — serially in building-major order, the deterministic merge
   // of every lane's outbound effects.
   //
-  // In the fully serial case all stages fuse per building: physics(b) and
-  // math(b) only touch building-b state, the drain touches shared state in
-  // building order either way, and peer views are pinned by the
-  // pre-control lane snapshot — so the interleaving
-  //   physics(0), math(0), reduce(0), physics(1), ...
-  // performs the identical operation sequence on every accumulator and on
-  // the event calendar as the staged
-  //   physics(0..n), math(0..n), reduce(0..n)
-  // — same bits, one pass over each server's cache lines instead of three.
+  // The tick runs in one of two shapes, bit-identical to each other:
+  //  - *staged*: physics over shards on the pool, then the lanes
+  //    (control_building_math) on the pool, then the serial building-major
+  //    drain (control_building_reduce);
+  //  - *fused serial*: one pass, physics(b), math(b), reduce(b) per
+  //    building. physics(b) and math(b) only touch building-b state, the
+  //    drain touches shared state in building order either way, and peer
+  //    views are pinned by the pre-control lane snapshot — so the
+  //    interleaving
+  //      physics(0), math(0), reduce(0), physics(1), ...
+  //    performs the identical operation sequence on every accumulator and
+  //    on the event calendar as the staged
+  //      physics(0..n), math(0..n), reduce(0..n)
+  //    — same bits, one pass over each server's cache lines instead of
+  //    three.
   // Tick-phase scopes run on the *host* clock: every sub-phase of a tick
   // happens at one simulated instant, so only wall time gives the spans
   // extent. Trace content for these spans is machine-dependent by nature;
@@ -973,18 +947,17 @@ void Df3Platform::tick(sim::Time t) {
   const auto close_phase = [](obs::Phase) {};
 #endif
 
-  // The effective thread counts clamp to the shard/lane count: a fleet
+  // The effective thread count clamps to the shard/lane count: a fleet
   // with fewer districts than cores must not wake workers that would find
-  // no work to claim.
-  const std::size_t threads = std::min(physics_thread_count(), std::max<std::size_t>(1, ns));
-  // Conservative-lookahead gate for the control lanes: parallel lane
-  // advancement is licensed by every cross-cluster path carrying at least
-  // min_peer_latency() of delay. A zero-latency link collapses the horizon
-  // to the tick instant itself, so the control phase falls back to the
-  // serial sweep instead of risking a same-instant cross-lane delivery.
-  std::size_t ctrl = std::min(control_thread_count(), std::max<std::size_t>(1, ns));
-  if (ctrl > 1 && !(network_->min_peer_latency().value() > 0.0)) {
-    ctrl = 1;
+  // no work to claim. Conservative-lookahead gate for the lanes: parallel
+  // lane advancement is licensed by every cross-cluster path carrying at
+  // least min_peer_latency() of delay. A zero-latency link collapses the
+  // horizon to the tick instant itself, so the tick falls back to the
+  // fused serial sweep instead of risking a same-instant cross-lane
+  // delivery.
+  std::size_t threads = std::min(thread_count(), std::max<std::size_t>(1, ns));
+  if (threads > 1 && !(network_->min_peer_latency().value() > 0.0)) {
+    threads = 1;
     ++lane_fallback_ticks_;
   }
 
@@ -1005,13 +978,13 @@ void Df3Platform::tick(sim::Time t) {
   }
 
   if (threads > 1) {
+    ++lane_parallel_ticks_;
     const std::size_t helpers = threads - 1;
-    if (!physics_pool_ || physics_pool_->size() < helpers) {
-      physics_pool_ = std::make_unique<util::ThreadPool>(helpers);
-    }
-    // One work item per shard. Workers only time-stamp their slices (the
-    // trace ring is single-writer); the serial section emits the spans.
-    physics_pool_->for_each_index(ns, [&](std::size_t s) {
+    if (!pool_ || pool_->size() < helpers) pool_ = std::make_unique<util::ThreadPool>(helpers);
+    // Physics: one work item per shard. Workers only time-stamp their
+    // slices (the trace ring is single-writer); the serial section emits
+    // the spans.
+    pool_->for_each_index(ns, [&](std::size_t s) {
       if (phase_scopes) shard_span_begin_s_[s] = sink->trace().host_now_s();
       physics_shard(s, t, t_out, seasonal, hour);
       if (phase_scopes) shard_span_end_s_[s] = sink->trace().host_now_s();
@@ -1024,58 +997,29 @@ void Df3Platform::tick(sim::Time t) {
       }
       close_phase(obs::Phase::kPhysicsPhase);
     }
-  } else if (ctrl > 1) {
-    // Serial physics ahead of parallel control lanes (the fused serial
-    // walk would interleave control into the physics pass).
-    for (std::size_t s = 0; s < ns; ++s) physics_shard(s, t, t_out, seasonal, hour);
-    if (phase_scopes) close_phase(obs::Phase::kPhysicsPhase);
-  }
-
-  if (threads > 1 || ctrl > 1) {
-    if (ctrl > 1) {
-      ++lane_parallel_ticks_;
-      const std::size_t helpers = ctrl - 1;
-      if (!physics_pool_ || physics_pool_->size() < helpers) {
-        physics_pool_ = std::make_unique<util::ThreadPool>(helpers);
+    // Lanes: one control lane per district shard on the same pool.
+    pool_->for_each_index(ns, [&](std::size_t s) {
+      if (phase_scopes) lane_span_begin_s_[s] = sink->trace().host_now_s();
+      const Shard& sh = shards_[s];
+      for (std::size_t b = sh.bld_begin; b < sh.bld_end; ++b) {
+        control_building_math(b, t_out.value(), lane_findings_[s]);
       }
-      // Lane stage: one control lane per district shard on the shared
-      // pool. Lane workers only time-stamp their spans; the serial
-      // section emits them on per-lane tracks.
-      physics_pool_->for_each_index(ns, [&](std::size_t s) {
-        if (phase_scopes) lane_span_begin_s_[s] = sink->trace().host_now_s();
-        const Shard& sh = shards_[s];
-        for (std::size_t b = sh.bld_begin; b < sh.bld_end; ++b) {
-          control_building_math(b, t_out.value(), lane_findings_[s]);
-        }
-        if (phase_scopes) lane_span_end_s_[s] = sink->trace().host_now_s();
-      });
-      if (phase_scopes) {
-        for (std::size_t s = 0; s < ns; ++s) {
-          sink->host_span(&lane_track_name_[s], lane_track_name_[s],
-                          obs::Phase::kLaneControl, lane_span_begin_s_[s],
-                          lane_span_end_s_[s]);
-        }
-      }
-      // Boundary drain, building-major.
-      for (std::size_t b = 0; b < nb; ++b) {
-        control_building_reduce(b, energy, city_demand_w, city_cores, temp_sum, room_count);
-      }
-    } else {
-      // Serial control after parallel physics: fuse the two control
-      // stages per building (one pass over each building's cache lines).
+      if (phase_scopes) lane_span_end_s_[s] = sink->trace().host_now_s();
+    });
+    if (phase_scopes) {
       for (std::size_t s = 0; s < ns; ++s) {
-        const Shard& sh = shards_[s];
-        for (std::size_t b = sh.bld_begin; b < sh.bld_end; ++b) {
-          control_building_math(b, t_out.value(), lane_findings_[s]);
-          control_building_reduce(b, energy, city_demand_w, city_cores, temp_sum, room_count);
-        }
+        sink->host_span(&lane_track_name_[s], lane_track_name_[s], obs::Phase::kLaneControl,
+                        lane_span_begin_s_[s], lane_span_end_s_[s]);
       }
+    }
+    // Boundary drain, building-major.
+    for (std::size_t b = 0; b < nb; ++b) {
+      control_building_reduce(b, energy, city_demand_w, city_cores, temp_sum, room_count);
     }
     if (phase_scopes) close_phase(obs::Phase::kControlPhase);
   } else {
-    // Fully serial mode fuses physics + both control stages per building
-    // (one pass over each server's cache lines); the whole sweep is
-    // reported as one physics-phase span.
+    // Fused serial: physics + both control stages per building; the whole
+    // sweep is reported as one physics-phase span.
     for (std::size_t s = 0; s < ns; ++s) {
       const Shard& sh = shards_[s];
       std::uint64_t run = 0;

@@ -215,13 +215,11 @@ struct ChurnRun {
 
 /// The lifecycle-soak churn city (obs_test.cpp) with both offload kinds,
 /// all four rungs, fault injectors, and both injector entry points.
-ChurnRun run_churn_forest(std::uint64_t seed, std::size_t physics_threads,
-                          std::size_t control_threads) {
+ChurnRun run_churn_forest(std::uint64_t seed, std::size_t threads) {
   core::PlatformConfig cfg;
   cfg.seed = seed;
   cfg.tick_s = 60.0;
-  cfg.physics_threads = physics_threads;
-  cfg.control_threads = control_threads;
+  cfg.threads = threads;
   cfg.with_datacenter = true;
   cfg.obs.level = obs::TraceLevel::kFull;
   cfg.cluster.edge_peak_ladder = {"preempt", "horizontal", "vertical", "delay"};
@@ -286,7 +284,7 @@ ChurnRun run_churn_forest(std::uint64_t seed, std::size_t physics_threads,
 }
 
 TEST(JourneyChurn, EveryTerminatedJourneyIsACompleteContiguousTree) {
-  const ChurnRun run = run_churn_forest(1, 1, 1);
+  const ChurnRun run = run_churn_forest(1, 1);
   const obs::JourneyForest& f = run.forest;
   ASSERT_FALSE(f.trees.empty());
   EXPECT_EQ(f.orphan_links, 0u);
@@ -341,10 +339,10 @@ TEST(JourneyChurn, EveryTerminatedJourneyIsACompleteContiguousTree) {
 }
 
 TEST(JourneyChurn, ForestDigestInvariantAcrossThreadCounts) {
-  const ChurnRun base = run_churn_forest(7, 1, 1);
+  const ChurnRun base = run_churn_forest(7, 1);
   const std::uint64_t d1 = obs::forest_digest(base.forest);
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    const ChurnRun run = run_churn_forest(7, threads, threads);
+    const ChurnRun run = run_churn_forest(7, threads);
     EXPECT_EQ(obs::forest_digest(run.forest), d1)
         << "journey forest diverged at " << threads << " threads";
   }
@@ -355,7 +353,7 @@ TEST(JourneyChurn, JourneyLinksOffRestoresPlainTrace) {
   // trace: same records, no kSpanLink rows.
   core::PlatformConfig cfg;
   cfg.seed = 3;
-  cfg.physics_threads = 1;
+  cfg.threads = 1;
   cfg.obs.level = obs::TraceLevel::kFull;
   cfg.obs.journey_links = false;
   core::Df3Platform city(cfg);

@@ -106,7 +106,7 @@ void run_soak(std::uint64_t seed, const ChurnProfile& profile, SoakTotals& agg) 
   cfg.seed = seed;
   cfg.audit = metrics::AuditLevel::kFull;
   cfg.tick_s = 60.0;
-  cfg.physics_threads = 1;
+  cfg.threads = 1;
   cfg.with_datacenter = true;
   cfg.cluster.edge_peak_ladder = {"preempt", "horizontal",
                                   "vertical", "delay"};

@@ -579,7 +579,7 @@ std::string run_churn_city_and_export(std::uint64_t seed) {
   core::PlatformConfig cfg;
   cfg.seed = seed;
   cfg.tick_s = 60.0;
-  cfg.physics_threads = 1;
+  cfg.threads = 1;
   cfg.with_datacenter = true;
   cfg.obs.level = obs::TraceLevel::kFull;
   cfg.cluster.edge_peak_ladder = {"preempt", "horizontal",

@@ -5,16 +5,15 @@
 /// a per-district lane stage and a serial boundary drain, licensed by the
 /// conservative network lookahead `now + Network::min_peer_latency()`. Its
 /// contract on top of the shard invariants:
-///  1. `control_threads` is a pure performance knob: any lane count, any
+///  1. `threads` is a pure performance knob: any lane count, any
 ///     federation degree, and live fault injectors (worker churn, link
 ///     flaps) produce bit-identical telemetry and end state.
-///  2. A zero-latency link collapses the lookahead horizon, so the control
-///     phase must fall back to the serial sweep — and still match.
+///  2. A zero-latency link collapses the lookahead horizon, so the tick
+///     must fall back to the fused serial sweep — and still match.
 ///  3. `Network::min_peer_latency()` is cached and invalidated by topology
 ///     changes and link up/down transitions.
 
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <sstream>
 #include <stdexcept>
@@ -69,7 +68,7 @@ Digest digest_of(core::Df3Platform& city) {
 /// 36 rooms, every third building 2R2C, live edge + cloud request sources.
 constexpr int kRooms[] = {3, 5, 8, 2, 7, 4, 6, 1};
 
-core::PlatformConfig lane_config(int month, std::size_t control_threads,
+core::PlatformConfig lane_config(int month, std::size_t threads,
                                  std::size_t federation_degree) {
   core::PlatformConfig pc;
   pc.seed = 2016;
@@ -78,7 +77,7 @@ core::PlatformConfig lane_config(int month, std::size_t control_threads,
   // shard_rooms=12 splits the 36-room city into 3 shards, so 3 control
   // lanes with buildings straddling every lane boundary.
   pc.shard_rooms = 12;
-  pc.control_threads = control_threads;
+  pc.threads = threads;
   pc.federation_degree = federation_degree;
   // The gated control path replays regulate() under kFull inside the lane
   // stage; zero violations proves the replay buffer plumbing too.
@@ -109,10 +108,10 @@ struct RunResult {
 /// Build, run and tear down one city (Df3Platform is not movable — its
 /// event sources capture `this`). `extra` runs between populate and run,
 /// e.g. to attach fault injectors or splice extra links.
-RunResult run_lane_city(int month, std::size_t control_threads, std::size_t federation_degree,
+RunResult run_lane_city(int month, std::size_t threads, std::size_t federation_degree,
                         double days = 3.0,
                         const std::function<void(core::Df3Platform&, double)>& extra = {}) {
-  core::Df3Platform city(lane_config(month, control_threads, federation_degree));
+  core::Df3Platform city(lane_config(month, threads, federation_degree));
   populate_city(city);
   if (extra) {
     extra(city, days);
@@ -159,9 +158,9 @@ TEST(LaneDeterminism, DigestInvariantAcrossControlThreadsAndFederation) {
   for (const std::size_t fed : {std::size_t{0}, std::size_t{2}}) {
     const RunResult ref = run_lane_city(0, 1, fed);
     EXPECT_EQ(ref.parallel_ticks, 0u);
-    for (const std::size_t ctrl : {std::size_t{2}, std::size_t{8}}) {
-      SCOPED_TRACE("control_threads=" + std::to_string(ctrl) + " fed=" + std::to_string(fed));
-      const RunResult r = run_lane_city(0, ctrl, fed);
+    for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " fed=" + std::to_string(fed));
+      const RunResult r = run_lane_city(0, threads, fed);
       EXPECT_TRUE(r.digest == ref.digest);
       EXPECT_EQ(r.violations, 0u);
       EXPECT_GT(r.parallel_ticks, 0u);
@@ -176,9 +175,10 @@ TEST(LaneDeterminism, DigestInvariantUnderFaultInjectors) {
   // the lookahead cache. Lanes must still match the serial sweep exactly.
   for (const std::size_t fed : {std::size_t{0}, std::size_t{2}}) {
     const RunResult ref = run_lane_city(6, 1, fed, 3.0, run_with_injectors);
-    for (const std::size_t ctrl : {std::size_t{2}, std::size_t{8}}) {
-      SCOPED_TRACE("control_threads=" + std::to_string(ctrl) + " fed=" + std::to_string(fed));
-      const RunResult r = run_lane_city(6, ctrl, fed, 3.0, run_with_injectors);
+    EXPECT_EQ(ref.parallel_ticks, 0u);
+    for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " fed=" + std::to_string(fed));
+      const RunResult r = run_lane_city(6, threads, fed, 3.0, run_with_injectors);
       EXPECT_TRUE(r.digest == ref.digest);
       EXPECT_EQ(r.violations, 0u);
       EXPECT_GT(r.parallel_ticks, 0u);
@@ -186,24 +186,10 @@ TEST(LaneDeterminism, DigestInvariantUnderFaultInjectors) {
   }
 }
 
-TEST(LaneDeterminism, EnvOverrideSelectsLaneCount) {
-  // DF3_CONTROL_THREADS applies only when the config leaves the count
-  // unset (0), mirroring DF3_PHYSICS_THREADS.
-  const RunResult ref = run_lane_city(0, 1, 0, 1.0);
-  ::setenv("DF3_CONTROL_THREADS", "8", 1);
-  const RunResult via_env = run_lane_city(0, 0, 0, 1.0);
-  const RunResult config_wins = run_lane_city(0, 1, 0, 1.0);
-  ::unsetenv("DF3_CONTROL_THREADS");
-  EXPECT_GT(via_env.parallel_ticks, 0u);
-  EXPECT_TRUE(via_env.digest == ref.digest);
-  EXPECT_EQ(config_wins.parallel_ticks, 0u);
-  EXPECT_TRUE(config_wins.digest == ref.digest);
-}
-
 TEST(LaneLookahead, ZeroLatencyLinkForcesSerialFallback) {
   // A zero-latency path between two gateways collapses the conservative
-  // horizon to the tick instant: every tick must take the serial fallback,
-  // and the result must match the serial sweep over the same topology.
+  // horizon to the tick instant: every tick must take the fused serial
+  // fallback, and the result must match threads = 1 over the same topology.
   const auto splice_zero_link = [](core::Df3Platform& city, double days) {
     net::LinkProfile wire;
     wire.name = "patch-zero";
@@ -213,6 +199,7 @@ TEST(LaneLookahead, ZeroLatencyLinkForcesSerialFallback) {
   };
   const RunResult serial = run_lane_city(0, 1, 2, 2.0, splice_zero_link);
   const RunResult laned = run_lane_city(0, 8, 2, 2.0, splice_zero_link);
+  EXPECT_EQ(serial.parallel_ticks, 0u);
   EXPECT_EQ(laned.parallel_ticks, 0u);
   EXPECT_GT(laned.fallback_ticks, 0u);
   EXPECT_TRUE(laned.digest == serial.digest);

@@ -2,6 +2,8 @@
 // flows, seasonality, energy accounting.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "df3/core/platform.hpp"
 #include "df3/thermal/calendar.hpp"
 
@@ -198,4 +200,15 @@ TEST(Platform, Validation) {
                std::invalid_argument);
   EXPECT_THROW(city.add_edge_source(5, wl::alarm_detection_factory(), 1.0), std::out_of_range);
   EXPECT_THROW(city.run(u::seconds(-1.0)), std::invalid_argument);
+}
+
+TEST(Platform, RejectsNonFiniteTick) {
+  // Both pass a plain `<= 0` check, and a run with either never ticks: its
+  // report comes back all zero.
+  for (const double tick :
+       {std::numeric_limits<double>::quiet_NaN(), std::numeric_limits<double>::infinity()}) {
+    core::PlatformConfig bad;
+    bad.tick_s = tick;
+    EXPECT_THROW(core::Df3Platform{bad}, std::invalid_argument) << "tick_s=" << tick;
+  }
 }

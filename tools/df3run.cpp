@@ -45,6 +45,8 @@
 //              df3trace will refuse the export without --partial
 //   slo_window_s (3600)      rolling SLO window for the per-flow report
 //   report (""|json)
+//   threads (0 = one per hardware thread; 1 = serial)
+//   shard_rooms (4096)       activity_gating (true)   federation_degree (0)
 //   grid_signals ("" = no grid plane) — per-region carbon/price/renewables
 //              CSV (see df3/grid/signal.hpp for the format); resolved as
 //              given, then relative to the scenario file's directory
@@ -287,8 +289,7 @@ int run(const std::string& config_path, const Options& opts) {
   const double cloud_render_interval_s = cfg.get_double("cloud_render_interval_s", 0.0);
   const double cloud_risk_interval_s = cfg.get_double("cloud_risk_interval_s", 1800.0);
   const double days = cfg.get_double("days", 7.0);
-  const long physics_threads = cfg.get_int("physics_threads", 0);
-  const long control_threads = cfg.get_int("control_threads", 0);
+  const long threads = cfg.get_int("threads", 0);
   const long shard_rooms = cfg.get_int("shard_rooms", 4096);
   const bool activity_gating = cfg.get_bool("activity_gating", true);
   const long federation_degree = cfg.get_int("federation_degree", 0);
@@ -299,23 +300,33 @@ int run(const std::string& config_path, const Options& opts) {
   const std::string grid_events = cfg.get_string("grid_events", "");
   cfg.check_exhausted();
   if (trace_capacity < 0) throw std::invalid_argument("trace_capacity must be >= 0");
-  if (slo_window_s <= 0.0) throw std::invalid_argument("slo_window_s must be > 0");
-  if (physics_threads < 0) throw std::invalid_argument("physics_threads must be >= 0");
-  if (control_threads < 0) throw std::invalid_argument("control_threads must be >= 0");
+  if (threads < 0) throw std::invalid_argument("threads must be >= 0");
   if (shard_rooms <= 0) throw std::invalid_argument("shard_rooms must be > 0");
   if (federation_degree < 0) throw std::invalid_argument("federation_degree must be >= 0");
-  // Flow rates and periods: 0 switches a flow off, so a negative or NaN
-  // value would silently drop it instead of failing.
-  const std::pair<const char*, double> flow_keys[] = {
-      {"edge_alarm_rate", edge_alarm_rate},
-      {"edge_map_rate", edge_map_rate},
-      {"telemetry_period_s", telemetry_period_s},
-      {"cloud_render_interval_s", cloud_render_interval_s},
-      {"cloud_risk_interval_s", cloud_risk_interval_s},
+  // Real-valued keys must be finite: a NaN or infinite duration hangs the
+  // run or yields an all-zero report, and for the flow rates and periods,
+  // where 0 switches a flow off, a negative or NaN value would silently
+  // drop the flow instead of failing. Durations that divide time must be
+  // strictly positive.
+  struct RealKey {
+    const char* key;
+    double value;
+    bool zero_ok;
   };
-  for (const auto& [key, value] : flow_keys) {
-    if (!std::isfinite(value) || value < 0.0) {
-      throw std::invalid_argument(std::string(key) + " must be a finite number >= 0 (got " +
+  const RealKey real_keys[] = {
+      {"days", days, true},
+      {"tick_s", tick_s, false},
+      {"slo_window_s", slo_window_s, false},
+      {"edge_alarm_rate", edge_alarm_rate, true},
+      {"edge_map_rate", edge_map_rate, true},
+      {"telemetry_period_s", telemetry_period_s, true},
+      {"cloud_render_interval_s", cloud_render_interval_s, true},
+      {"cloud_risk_interval_s", cloud_risk_interval_s, true},
+  };
+  for (const auto& [key, value, zero_ok] : real_keys) {
+    if (!std::isfinite(value) || value < 0.0 || (value == 0.0 && !zero_ok)) {
+      throw std::invalid_argument(std::string(key) + " must be a finite number " +
+                                  (zero_ok ? ">= 0" : "> 0") + " (got " +
                                   std::to_string(value) + ")");
     }
   }
@@ -343,8 +354,7 @@ int run(const std::string& config_path, const Options& opts) {
   // and gating are bit-for-bit neutral; federation_degree keeps the
   // full-mesh default bit-identical, while a nonzero ring degree is a real
   // topology choice that changes peer hand-offs.
-  pc.physics_threads = static_cast<std::size_t>(physics_threads);
-  pc.control_threads = static_cast<std::size_t>(control_threads);
+  pc.threads = static_cast<std::size_t>(threads);
   pc.shard_rooms = static_cast<std::size_t>(shard_rooms);
   pc.activity_gating = activity_gating;
   pc.federation_degree = static_cast<std::size_t>(federation_degree);
