@@ -1,23 +1,17 @@
 // Overhead of the observability layer (DESIGN.md section 10): full-platform
-// run throughput with telemetry off / counters / full tracing / journeys.
+// run throughput with telemetry off / counters / full tracing.
 //
-// The four sides run the *same* city — buildings with edge workload, cloud
+// The three sides run the *same* city — buildings with edge workload, cloud
 // batches, and the heat regulator active — differing only in
-// `PlatformConfig::obs.level` (and, for the last pair, whether journey span
-// links are emitted). Rounds are interleaved off,counters,full,journeys,...
+// `PlatformConfig::obs.level`. Rounds are interleaved off,counters,full,...
 // and medians reported, so host drift hits all sides equally. The mean room
 // temperature is cross-checked between sides: observation must not perturb
 // the simulation (the determinism test pins the digests; this is the cheap
 // in-bench guard).
 //
-// `full` runs kFull tracing with journey_links=false; `journeys` is the
-// default kFull configuration with span links on, so the full→journeys
-// delta prices the causal-link records (DESIGN.md section 14).
-//
-// With -DDF3_OBS=OFF the hooks compile to nothing and all four sides
-// measure the same binary path; the interesting numbers come from the
-// default DF3_OBS=ON build, where `off` exercises the disabled-path check
-// (a pointer load and branch per hook site).
+// `off` exercises the disabled-path check (a pointer load and branch per
+// hook site); `full` records spans, instants and journey span links
+// (DESIGN.md section 14).
 //
 // Output: a console table plus BENCH_obs.json (path overridable with
 // DF3_BENCH_JSON) with ns/tick and the overhead per level relative to off.
@@ -27,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -51,13 +46,12 @@ struct RunResult {
   std::uint64_t trace_events = 0;
 };
 
-RunResult run_city(obs::TraceLevel level, bool journey_links) {
+RunResult run_city(obs::TraceLevel level) {
   core::PlatformConfig pc;
   pc.seed = 2016;
   pc.start_time = thermal::start_of_month(0);
   pc.climate = thermal::paris_climate();
   pc.obs.level = level;
-  pc.obs.journey_links = journey_links;
   core::Df3Platform city(pc);
   for (int i = 0; i < kBuildings; ++i) {
     core::BuildingConfig b;
@@ -99,12 +93,10 @@ int main() {
   const struct {
     const char* label;
     obs::TraceLevel level;
-    bool journey_links;
-  } sides[] = {{"off", obs::TraceLevel::kOff, false},
-               {"counters", obs::TraceLevel::kCounters, false},
-               {"full", obs::TraceLevel::kFull, false},
-               {"journeys", obs::TraceLevel::kFull, true}};
-  constexpr std::size_t kSides = 4;
+  } sides[] = {{"off", obs::TraceLevel::kOff},
+               {"counters", obs::TraceLevel::kCounters},
+               {"full", obs::TraceLevel::kFull}};
+  constexpr std::size_t kSides = std::size(sides);
   const double ticks = kDays * 24.0 * 3600.0 / 60.0;
 
   std::printf("bench_obs_overhead: %d buildings x %d rooms, %.0f simulated days, "
@@ -115,7 +107,7 @@ int main() {
   RunResult last[kSides];
   for (int round = 0; round < kRounds; ++round) {
     for (std::size_t s = 0; s < kSides; ++s) {
-      last[s] = run_city(sides[s].level, sides[s].journey_links);
+      last[s] = run_city(sides[s].level);
       times[s].push_back(last[s].seconds);
     }
   }

@@ -139,7 +139,7 @@ struct PlatformConfig {
   /// nothing; kCounters feeds and snapshots the metric registry each tick;
   /// kFull additionally records lifecycle/tick/fault trace events. All
   /// levels are observation-only: the simulation trajectory is bit-for-bit
-  /// identical whatever the level. Ignored when built with -DDF3_OBS=OFF.
+  /// identical whatever the level.
   obs::ObsConfig obs = {};
 };
 
@@ -297,8 +297,7 @@ class Df3Platform {
   std::vector<std::string> audit_now();
   [[nodiscard]] metrics::EnergyLedger& df_energy() { return df_energy_; }
   /// The run's telemetry sink (trace ring + metric registry), or nullptr
-  /// when the configured obs level is kOff or the build compiled the hooks
-  /// out (-DDF3_OBS=OFF). Export with obs::write_chrome_trace /
+  /// when the configured obs level is kOff. Export with obs::write_chrome_trace /
   /// obs::write_metrics_csv after the run.
   [[nodiscard]] obs::Observability* observability() { return obs_.get(); }
   [[nodiscard]] const obs::Observability* observability() const { return obs_.get(); }
@@ -550,11 +549,11 @@ class Df3Platform {
   metrics::LifecycleAuditor auditor_;
   metrics::EnergyLedger df_energy_;
   /// Telemetry sink; created in the constructor when config_.obs.level is
-  /// above kOff (and the hooks are compiled in), installed as the process
-  /// sink for the duration of each run() call.
+  /// above kOff, installed as the process sink for the duration of each
+  /// run() call.
   std::unique_ptr<obs::Observability> obs_;
-  /// Registry handles + previous cumulative counter values for the per-tick
-  /// metric feed (counters are fed by delta).
+  /// Registry handles for the per-tick metric feed (each counter is topped
+  /// up to the platform's cumulative total).
   struct ObsFeed {
     obs::MetricId room_mean_c, usable_cores, heat_demand_w, outdoor_c, regulator_err;
     obs::MetricId gated_districts;  ///< fleet/gated_districts gauge (per tick)
@@ -565,16 +564,13 @@ class Df3Platform {
     obs::MetricId response_s;
     // Per-policy decision counters (DESIGN.md §11).
     obs::MetricId routing_picks, placement_picks, peer_picks;
-    std::vector<obs::MetricId> rung_ids;  ///< one per configured ladder rung
+    std::vector<obs::MetricId> rung_ids;  ///< one per distinct ladder rung name
+    std::vector<std::size_t> rung_of;     ///< ladder position -> rung_ids index
     // Per-flow SLO gauges (DESIGN.md §14): rolling-window deadline-miss
     // ratio and response p99, one pair per workload::Flow.
     std::vector<obs::MetricId> slo_miss_ratio, slo_p99_s;
     // Per-region grid gauges (DESIGN.md §15), registered at install_grid.
     std::vector<obs::MetricId> grid_carbon, grid_price, grid_curtailed;
-    std::uint64_t prev_preemptions = 0, prev_horizontal = 0, prev_vertical = 0, prev_delays = 0;
-    std::uint64_t prev_completed = 0, prev_missed = 0, prev_rejected = 0, prev_dropped = 0;
-    std::uint64_t prev_routing_picks = 0, prev_placement_picks = 0, prev_peer_picks = 0;
-    std::vector<std::uint64_t> prev_rung_hits;
   } feed_;
   util::TimeSeries temp_series_;
   util::TimeSeries capacity_series_;

@@ -26,7 +26,6 @@ Df3Platform::Df3Platform(PlatformConfig config)
   if (!(config_.tick_s > 0.0) || !std::isfinite(config_.tick_s)) {
     throw std::invalid_argument("Df3Platform: tick must be positive and finite");
   }
-#ifndef DF3_OBS_DISABLED
   if (config_.obs.level != obs::TraceLevel::kOff) {
     obs_ = std::make_unique<obs::Observability>(config_.obs);
     // Register every instrument up front: the per-tick feed is pure
@@ -53,22 +52,24 @@ Df3Platform::Df3Platform(PlatformConfig config)
     feed_.rejected = reg.counter("requests/rejected");
     feed_.dropped = reg.counter("requests/dropped");
     feed_.response_s = reg.histogram("requests/response_s");
-    // Decision-plane counters: one per seam plus one per configured ladder
-    // rung (duplicate rung names intern to the same instrument and sum).
+    // Decision-plane counters: one per seam plus one per distinct ladder
+    // rung name (duplicate rung names intern to the same instrument and sum).
     feed_.routing_picks = reg.counter("policy/routing_picks");
     feed_.placement_picks = reg.counter("policy/placement_picks");
     feed_.peer_picks = reg.counter("policy/peer_picks");
     for (const std::string& rung : config_.cluster.edge_peak_ladder) {
-      feed_.rung_ids.push_back(reg.counter("policy/rung/" + rung));
+      const obs::MetricId id = reg.counter("policy/rung/" + rung);
+      const auto it = std::find_if(feed_.rung_ids.begin(), feed_.rung_ids.end(),
+                                   [id](obs::MetricId r) { return r.index == id.index; });
+      feed_.rung_of.push_back(static_cast<std::size_t>(it - feed_.rung_ids.begin()));
+      if (it == feed_.rung_ids.end()) feed_.rung_ids.push_back(id);
     }
-    feed_.prev_rung_hits.assign(feed_.rung_ids.size(), 0);
     for (int f = 0; f < 3; ++f) {
       const std::string flow = workload::flow_name(static_cast<workload::Flow>(f));
       feed_.slo_miss_ratio.push_back(reg.gauge("slo/" + flow + "/miss_ratio"));
       feed_.slo_p99_s.push_back(reg.gauge("slo/" + flow + "/p99_s"));
     }
   }
-#endif
   routing_ = policy::Registry::global().make_routing("df-first");
   network_ = std::make_unique<net::Network>(sim_, "city-net");
   internet_node_ = network_->add_node("internet");
@@ -237,7 +238,6 @@ void Df3Platform::install_grid(grid::GridPlane plane) {
   grid_accounts_.assign(nr, RegionAccount{});
   for (std::size_t r = 0; r < nr; ++r) grid_now_[r] = grid_->signal(r).sample(sim_.now());
   for (std::size_t b = 0; b < buildings_.size(); ++b) bind_building_grid(b);
-#ifndef DF3_OBS_DISABLED
   if (obs_) {
     auto& reg = obs_->registry();
     for (std::size_t r = 0; r < nr; ++r) {
@@ -247,7 +247,6 @@ void Df3Platform::install_grid(grid::GridPlane plane) {
       feed_.grid_curtailed.push_back(reg.gauge(base + "/curtailed"));
     }
   }
-#endif
 }
 
 void Df3Platform::bind_building_grid(std::size_t b) {
@@ -520,7 +519,7 @@ void Df3Platform::deliver_to_cluster(workload::Request r, std::size_t b, bool di
 }
 
 namespace {
-[[maybe_unused]] constexpr obs::Phase terminal_phase(workload::Outcome o) {
+constexpr obs::Phase terminal_phase(workload::Outcome o) {
   switch (o) {
     case workload::Outcome::kCompleted: return obs::Phase::kCompleted;
     case workload::Outcome::kDeadlineMissed: return obs::Phase::kDeadlineMissed;
@@ -530,7 +529,7 @@ namespace {
   return obs::Phase::kCompleted;
 }
 
-[[maybe_unused]] constexpr obs::SloOutcome slo_outcome(workload::Outcome o) {
+constexpr obs::SloOutcome slo_outcome(workload::Outcome o) {
   switch (o) {
     case workload::Outcome::kCompleted: return obs::SloOutcome::kOk;
     case workload::Outcome::kDeadlineMissed: return obs::SloOutcome::kMissed;
@@ -541,17 +540,15 @@ namespace {
 }
 
 /// Flow carried on journey arrival/terminal links: 0 = unknown, else flow+1.
-[[maybe_unused]] constexpr std::uint32_t journey_flow_attr(workload::Flow f) {
+constexpr std::uint32_t journey_flow_attr(workload::Flow f) {
   return static_cast<std::uint32_t>(f) + 1;
 }
 }  // namespace
 
-void Df3Platform::open_journey([[maybe_unused]] std::uint64_t id) {
-#ifndef DF3_OBS_DISABLED
+void Df3Platform::open_journey(std::uint64_t id) {
   // The owned sink, not the installed global: manual injections happen
   // between run() calls, when no Install scope is active.
   if (obs_) obs_->journey_open(id);
-#endif
 }
 
 void Df3Platform::record_completion(const workload::CompletionRecord& rec) {
@@ -932,7 +929,6 @@ void Df3Platform::tick(sim::Time t) {
   // happens at one simulated instant, so only wall time gives the spans
   // extent. Trace content for these spans is machine-dependent by nature;
   // the simulated trajectory stays bit-identical (hooks observe only).
-#ifndef DF3_OBS_DISABLED
   obs::Observability* const sink = obs::current();
   const bool phase_scopes = sink != nullptr && sink->tracing();
   double phase_mark_s = phase_scopes ? sink->trace().host_now_s() : 0.0;
@@ -941,11 +937,6 @@ void Df3Platform::tick(sim::Time t) {
     sink->host_span(this, "tick", p, phase_mark_s, end_s);
     phase_mark_s = end_s;
   };
-#else
-  constexpr obs::Observability* sink = nullptr;
-  constexpr bool phase_scopes = false;
-  const auto close_phase = [](obs::Phase) {};
-#endif
 
   // The effective thread count clamps to the shard/lane count: a fleet
   // with fewer districts than cores must not wake workers that would find
@@ -1120,7 +1111,6 @@ void Df3Platform::tick(sim::Time t) {
 
 void Df3Platform::feed_metrics(sim::Time t, double room_mean_c, double city_cores,
                                double city_demand_w, double outdoor_c) {
-#ifndef DF3_OBS_DISABLED
   auto& reg = obs_->registry();
   reg.at_gauge(feed_.room_mean_c).set(room_mean_c);
   reg.at_gauge(feed_.usable_cores).set(city_cores);
@@ -1153,30 +1143,34 @@ void Df3Platform::feed_metrics(sim::Time t, double room_mean_c, double city_core
     placement += pc.placement_picks;
     peer += pc.peer_picks;
   }
-  const auto bump = [&reg](obs::MetricId id, std::uint64_t& prev, std::uint64_t current) {
-    reg.at_counter(id).add(current - prev);
-    prev = current;
+  // Each counter mirrors a cumulative platform total: add what it has not
+  // yet seen (the feed is the only writer of these instruments).
+  const auto bump = [&reg](obs::MetricId id, std::uint64_t current) {
+    obs::Counter& c = reg.at_counter(id);
+    c.add(current - c.value());
   };
-  bump(feed_.preemptions, feed_.prev_preemptions, preempt);
-  bump(feed_.offload_horizontal, feed_.prev_horizontal, horizontal);
-  bump(feed_.offload_vertical, feed_.prev_vertical, vertical);
-  bump(feed_.edge_delays, feed_.prev_delays, delays);
-  bump(feed_.routing_picks, feed_.prev_routing_picks, routing_picks_);
-  bump(feed_.placement_picks, feed_.prev_placement_picks, placement);
-  bump(feed_.peer_picks, feed_.prev_peer_picks, peer);
-  for (std::size_t i = 0; i < feed_.rung_ids.size(); ++i) {
+  bump(feed_.preemptions, preempt);
+  bump(feed_.offload_horizontal, horizontal);
+  bump(feed_.offload_vertical, vertical);
+  bump(feed_.edge_delays, delays);
+  bump(feed_.routing_picks, routing_picks_);
+  bump(feed_.placement_picks, placement);
+  bump(feed_.peer_picks, peer);
+  for (std::size_t u = 0; u < feed_.rung_ids.size(); ++u) {
     std::uint64_t hits = 0;
     for (const auto& b : buildings_) {
       const auto& rh = b->cluster->policy_counters().rung_hits;
-      if (i < rh.size()) hits += rh[i];
+      for (std::size_t i = 0; i < rh.size(); ++i) {
+        if (feed_.rung_of[i] == u) hits += rh[i];
+      }
     }
-    bump(feed_.rung_ids[i], feed_.prev_rung_hits[i], hits);
+    bump(feed_.rung_ids[u], hits);
   }
   const metrics::FlowMetrics::Slice& all = flow_metrics_.overall();
-  bump(feed_.completed, feed_.prev_completed, all.completed);
-  bump(feed_.deadline_missed, feed_.prev_missed, all.deadline_missed);
-  bump(feed_.rejected, feed_.prev_rejected, all.rejected);
-  bump(feed_.dropped, feed_.prev_dropped, all.dropped);
+  bump(feed_.completed, all.completed);
+  bump(feed_.deadline_missed, all.deadline_missed);
+  bump(feed_.rejected, all.rejected);
+  bump(feed_.dropped, all.dropped);
 
   // Staleness-bounded SLO gauges: a flow that has gone quiet for a full
   // window reports zero rather than a frozen last value.
@@ -1188,13 +1182,6 @@ void Df3Platform::feed_metrics(sim::Time t, double room_mean_c, double city_core
   }
 
   reg.snapshot(t);
-#else
-  (void)t;
-  (void)room_mean_c;
-  (void)city_cores;
-  (void)city_demand_w;
-  (void)outdoor_c;
-#endif
 }
 
 void Df3Platform::run(util::Seconds duration) {
@@ -1207,7 +1194,7 @@ void Df3Platform::run(util::Seconds duration) {
   // Scope this platform's telemetry sink to the event loop: every request /
   // network / fault hook in the process records here while (and only while)
   // this platform is the one running.
-  [[maybe_unused]] obs::Install obs_scope(obs_.get());
+  obs::Install obs_scope(obs_.get());
   sim_.run_until(sim_.now() + duration.value());
 }
 

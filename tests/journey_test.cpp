@@ -30,8 +30,6 @@ namespace net = df3::net;
 namespace wl = df3::workload;
 namespace u = df3::util;
 
-#ifndef DF3_OBS_DISABLED
-
 namespace {
 
 // --- unit: parent/advance policy --------------------------------------------
@@ -348,39 +346,4 @@ TEST(JourneyChurn, ForestDigestInvariantAcrossThreadCounts) {
   }
 }
 
-TEST(JourneyChurn, JourneyLinksOffRestoresPlainTrace) {
-  // journey_links=false must byte-identically reproduce the pre-journey
-  // trace: same records, no kSpanLink rows.
-  core::PlatformConfig cfg;
-  cfg.seed = 3;
-  cfg.threads = 1;
-  cfg.obs.level = obs::TraceLevel::kFull;
-  cfg.obs.journey_links = false;
-  core::Df3Platform city(cfg);
-  core::BuildingConfig b;
-  b.name = "b0";
-  b.rooms = 1;
-  city.add_building(b);
-  city.add_edge_source(0, soak_edge_factory(false), 0.5);
-  city.run(u::hours(0.5));
-  city.stop_sources();
-  city.run(u::hours(0.5));
-  obs::Observability* o = city.observability();
-  ASSERT_NE(o, nullptr);
-  std::size_t links = 0, records = 0;
-  o->trace().for_each([&](const obs::TraceEvent& e) {
-    ++records;
-    if (e.is_link()) ++links;
-  });
-  EXPECT_GT(records, 0u);
-  EXPECT_EQ(links, 0u);
-  EXPECT_EQ(o->journeys().open_count(), 0u);
-}
-
 }  // namespace
-
-#else
-
-TEST(JourneyChurn, Skipped) { GTEST_SKIP() << "observability compiled out"; }
-
-#endif  // DF3_OBS_DISABLED

@@ -523,7 +523,6 @@ TEST(MetricsExport, CsvAndJsonShapes) {
 // --- install scope ----------------------------------------------------------
 
 TEST(ObsInstall, ScopesNestAndKOffInstallsNothing) {
-#ifndef DF3_OBS_DISABLED
   EXPECT_EQ(obs::current(), nullptr);
   obs::Observability full({obs::TraceLevel::kFull, 256});
   obs::Observability off({obs::TraceLevel::kOff, 256});
@@ -537,9 +536,6 @@ TEST(ObsInstall, ScopesNestAndKOffInstallsNothing) {
     EXPECT_EQ(obs::current(), &full);
   }
   EXPECT_EQ(obs::current(), nullptr);
-#else
-  GTEST_SKIP() << "observability compiled out";
-#endif
 }
 
 // --- end-to-end churn trace --------------------------------------------------
@@ -572,10 +568,9 @@ wl::RequestFactory soak_cloud_factory() {
   };
 }
 
-/// The lifecycle-soak "lan-churn" scenario (see lifecycle_soak_test.cpp) at
-/// full trace level: saturating workload, link flapping, worker churn, full
-/// peak ladder.
-std::string run_churn_city_and_export(std::uint64_t seed) {
+/// Configuration of the lifecycle-soak "lan-churn" scenario (see
+/// lifecycle_soak_test.cpp) at full trace level with the full peak ladder.
+core::PlatformConfig churn_city_config(std::uint64_t seed) {
   core::PlatformConfig cfg;
   cfg.seed = seed;
   cfg.tick_s = 60.0;
@@ -585,8 +580,12 @@ std::string run_churn_city_and_export(std::uint64_t seed) {
   cfg.cluster.edge_peak_ladder = {"preempt", "horizontal",
                                   "vertical", "delay"};
   cfg.cluster.cloud_offload_backlog_gc_per_core = 50.0;
-  core::Df3Platform city(cfg);
+  return cfg;
+}
 
+/// Runs the "lan-churn" scenario on `city`: saturating workload, link
+/// flapping and worker churn for two hours, then one hour of drain.
+void run_churn_city(core::Df3Platform& city, std::uint64_t seed) {
   core::BuildingConfig b0;
   b0.name = "b0";
   b0.rooms = 2;
@@ -620,9 +619,14 @@ std::string run_churn_city_and_export(std::uint64_t seed) {
   churn.stop();
   city.stop_sources();
   city.run(u::hours(1.0));
+}
 
+std::string run_churn_city_and_export(std::uint64_t seed) {
+  core::Df3Platform city(churn_city_config(seed));
+  run_churn_city(city, seed);
   obs::Observability* o = city.observability();
-  if (o == nullptr) return "";  // DF3_OBS=OFF build
+  EXPECT_NE(o, nullptr);
+  if (o == nullptr) return "";
   EXPECT_EQ(o->trace().dropped(), 0u) << "ring too small for the scenario";
   std::ostringstream os;
   obs::write_chrome_trace(os, o->trace());
@@ -631,8 +635,6 @@ std::string run_churn_city_and_export(std::uint64_t seed) {
 
 TEST(ChurnTrace, LadderRungsOffloadsAndFaultsAllAppearInValidTrace) {
   const std::string text = run_churn_city_and_export(1);
-  if (text.empty()) GTEST_SKIP() << "observability compiled out";
-
   const Json root = JsonParser(text).parse();
   const JsonArray& events = root.at("traceEvents").arr();
   std::map<std::string, std::size_t> by_name;
@@ -652,7 +654,6 @@ TEST(ChurnTrace, LadderRungsOffloadsAndFaultsAllAppearInValidTrace) {
 
 TEST(ChurnTrace, SameSeedProducesIdenticalTraceBytes) {
   const std::string a = run_churn_city_and_export(7);
-  if (a.empty()) GTEST_SKIP() << "observability compiled out";
   const std::string b = run_churn_city_and_export(7);
   // Host-clock tick spans differ run to run; compare only sim-clock events.
   const auto sim_events = [](const std::string& text) {
@@ -667,6 +668,66 @@ TEST(ChurnTrace, SameSeedProducesIdenticalTraceBytes) {
     return out;
   };
   EXPECT_EQ(sim_events(a), sim_events(b));
+}
+
+// --- per-tick metric feed ----------------------------------------------------
+
+TEST(ObsFeed, CountersEqualCumulativePlatformTotalsAtLastSnapshot) {
+  // The feed tops each counter up to a cumulative platform total every
+  // tick, so the last snapshot must read exactly those totals. The ladder
+  // repeats "preempt": both positions intern to one instrument, which must
+  // carry their sum.
+  core::PlatformConfig cfg = churn_city_config(3);
+  cfg.obs.level = obs::TraceLevel::kCounters;
+  cfg.cluster.edge_peak_ladder = {"preempt", "horizontal", "preempt", "vertical", "delay"};
+  core::Df3Platform city(cfg);
+  run_churn_city(city, 3);
+  const obs::Observability* o = city.observability();
+  ASSERT_NE(o, nullptr);
+  ASSERT_GT(o->registry().snapshots(), 0u);
+
+  std::map<std::string, std::uint64_t> want;
+  std::uint64_t preempt = 0, horizontal = 0, vertical = 0, delays = 0, placement = 0, peer = 0;
+  for (std::size_t b = 0; b < city.building_count(); ++b) {
+    const core::ClusterStats& st = city.cluster(b).stats();
+    preempt += st.preemptions;
+    horizontal += st.offloaded_horizontal_out;
+    vertical += st.offloaded_vertical;
+    delays += st.edge_delays;
+    const auto& pc = city.cluster(b).policy_counters();
+    placement += pc.placement_picks;
+    peer += pc.peer_picks;
+    ASSERT_EQ(pc.rung_hits.size(), cfg.cluster.edge_peak_ladder.size());
+    for (std::size_t i = 0; i < pc.rung_hits.size(); ++i) {
+      want["policy/rung/" + cfg.cluster.edge_peak_ladder[i]] += pc.rung_hits[i];
+    }
+  }
+  const auto& all = city.flow_metrics().overall();
+  want["ladder/preemptions"] = preempt;
+  want["ladder/offload_horizontal"] = horizontal;
+  want["ladder/offload_vertical"] = vertical;
+  want["ladder/edge_delays"] = delays;
+  want["requests/completed"] = all.completed;
+  want["requests/deadline_missed"] = all.deadline_missed;
+  want["requests/rejected"] = all.rejected;
+  want["requests/dropped"] = all.dropped;
+  want["policy/routing_picks"] = city.routing_decisions();
+  want["policy/placement_picks"] = placement;
+  want["policy/peer_picks"] = peer;
+  // The scenario exercises what the check compares.
+  EXPECT_GT(want["policy/rung/preempt"], 0u);
+  EXPECT_GT(want["ladder/offload_vertical"], 0u);
+  EXPECT_GT(want["requests/completed"], 0u);
+
+  std::set<std::string> seen;
+  for (const obs::MetricRegistry::Instrument& inst : o->registry().instruments()) {
+    if (inst.kind != obs::MetricKind::kCounter) continue;
+    ASSERT_EQ(want.count(inst.name), 1u) << "unexpected counter " << inst.name;
+    ASSERT_FALSE(inst.series.empty()) << inst.name;
+    EXPECT_EQ(inst.series.back().value, static_cast<double>(want[inst.name])) << inst.name;
+    seen.insert(inst.name);
+  }
+  EXPECT_EQ(seen.size(), want.size());
 }
 
 }  // namespace

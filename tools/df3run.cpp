@@ -18,7 +18,7 @@
 //   --metrics <path>  metric-registry time series; .json extension selects
 //                     JSON, anything else CSV
 //   --report json     append a machine-readable JSON summary (service /
-//                     energy / comfort) to stdout after the human report
+//                     SLO / energy / comfort) to stdout after the human report
 //
 // `df3run --list-policies` (no scenario) prints every policy name known to
 // the registry — one line per seam — and exits.
@@ -38,11 +38,13 @@
 //   peer_select (ring|least-loaded|greenest)   placement (first-fit|best-fit)
 //   csv ("" = no export)     trace ("" = no export)   metrics ("" = no export)
 //   telemetry (off|counters|full; default inferred: full when a trace is
-//              requested, counters when only metrics are, off otherwise)
-//   trace_capacity (0 = auto: DF3_TRACE_CAPACITY env, else 1M records) —
-//              size the trace ring for long soaks; when journey spans are
-//              overwritten a loud warning reports the dropped() count and
-//              df3trace will refuse the export without --partial
+//              requested, counters when metrics or a JSON report are, off
+//              otherwise; a level too low for the requested outputs is
+//              raised with one note on stderr)
+//   trace_capacity (0 = 1M records) — size the trace ring for long soaks;
+//              when journey spans are overwritten a loud warning reports the
+//              dropped() count and df3trace will refuse the export without
+//              --partial
 //   slo_window_s (3600)      rolling SLO window for the per-flow report
 //   report (""|json)
 //   threads (0 = one per hardware thread; 1 = serial)
@@ -57,9 +59,11 @@
 //              grid_signals); with peak_ladder including grid-shed the
 //              fleet sheds load during each curtailment window
 //
-// Policy names resolve through policy::Registry::global(); unknown names —
-// and unrecognized scenario keys (typos) — abort with a loud error.
+// Policy names resolve through policy::Registry::global(); unknown names,
+// unrecognized scenario keys (typos) and out-of-range values abort with one
+// line naming the key.
 
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -299,10 +303,34 @@ int run(const std::string& config_path, const Options& opts) {
   const std::string region_list = cfg.get_string("region", "");
   const std::string grid_events = cfg.get_string("grid_events", "");
   cfg.check_exhausted();
-  if (trace_capacity < 0) throw std::invalid_argument("trace_capacity must be >= 0");
-  if (threads < 0) throw std::invalid_argument("threads must be >= 0");
-  if (shard_rooms <= 0) throw std::invalid_argument("shard_rooms must be > 0");
-  if (federation_degree < 0) throw std::invalid_argument("federation_degree must be >= 0");
+  // Integer keys must lie in range before anything is built: a zero
+  // building count or an out-of-range month otherwise fails deep in the
+  // platform under a message that does not name the key, and a room count
+  // past INT_MAX wraps when narrowed.
+  struct IntKey {
+    const char* key;
+    long value;
+    long min;
+    long max;
+  };
+  const IntKey int_keys[] = {
+      {"buildings", buildings, 1, LONG_MAX},
+      {"rooms", rooms, 1, INT_MAX},
+      {"start_month", start_month, 0, 11},
+      {"threads", threads, 0, LONG_MAX},
+      {"shard_rooms", shard_rooms, 1, LONG_MAX},
+      {"federation_degree", federation_degree, 0, LONG_MAX},
+      {"trace_capacity", trace_capacity, 0, LONG_MAX},
+  };
+  for (const auto& [key, value, min, max] : int_keys) {
+    if (value < min || value > max) {
+      throw std::invalid_argument(
+          std::string(key) + " must be " +
+          (max == LONG_MAX ? ">= " + std::to_string(min)
+                           : "in [" + std::to_string(min) + ", " + std::to_string(max) + "]") +
+          " (got " + std::to_string(value) + ")");
+    }
+  }
   // Real-valued keys must be finite: a NaN or infinite duration hangs the
   // run or yields an all-zero report, and for the flow rates and periods,
   // where 0 switches a flow off, a negative or NaN value would silently
@@ -322,6 +350,7 @@ int run(const std::string& config_path, const Options& opts) {
       {"telemetry_period_s", telemetry_period_s, true},
       {"cloud_render_interval_s", cloud_render_interval_s, true},
       {"cloud_risk_interval_s", cloud_risk_interval_s, true},
+      {"daily_hot_water_l", daily_hot_water_l, true},
   };
   for (const auto& [key, value, zero_ok] : real_keys) {
     if (!std::isfinite(value) || value < 0.0 || (value == 0.0 && !zero_ok)) {
@@ -372,17 +401,24 @@ int run(const std::string& config_path, const Options& opts) {
   pc.cluster.peer_select = peer_select;
   pc.cluster.placement = placement;
   // Telemetry level: explicit key wins; otherwise infer the cheapest level
-  // that can satisfy the requested exports.
+  // that can satisfy the requested outputs. The metrics export and the JSON
+  // report's SLO plane need counters; an explicit level too low for an
+  // output is raised with one note.
+  const bool needs_counters = !metrics.empty() || report == "json";
   if (has_telemetry_key) {
     pc.obs.level = telemetry_level(telemetry);
   } else if (!trace.empty()) {
     pc.obs.level = obs::TraceLevel::kFull;
-  } else if (!metrics.empty()) {
+  } else if (needs_counters) {
     pc.obs.level = obs::TraceLevel::kCounters;
   }
   if (!trace.empty() && pc.obs.level != obs::TraceLevel::kFull) {
     std::fprintf(stderr, "df3run: --trace needs telemetry=full; raising level\n");
     pc.obs.level = obs::TraceLevel::kFull;
+  } else if (needs_counters && pc.obs.level == obs::TraceLevel::kOff) {
+    std::fprintf(stderr, "df3run: %s needs telemetry=counters; raising level\n",
+                 metrics.empty() ? "--report json" : "--metrics");
+    pc.obs.level = obs::TraceLevel::kCounters;
   }
   pc.obs.trace_capacity = static_cast<std::size_t>(trace_capacity);
   pc.obs.slo_window_s = slo_window_s;
@@ -542,13 +578,8 @@ int run(const std::string& config_path, const Options& opts) {
     std::printf("telemetry series written to %s\n", csv.c_str());
   }
   if (!trace.empty() || !metrics.empty()) {
+    // The level resolution above guarantees a sink for either export.
     obs::Observability* o = city.observability();
-    if (o == nullptr) {
-      std::fprintf(stderr,
-                   "df3run: telemetry exports requested but observability is unavailable "
-                   "(built with -DDF3_OBS=OFF?)\n");
-      return 1;
-    }
     if (!trace.empty()) {
       if (!obs::write_chrome_trace_file(trace, o->trace())) {
         throw std::runtime_error("cannot write trace: " + trace);
@@ -566,8 +597,7 @@ int run(const std::string& config_path, const Options& opts) {
                      "df3run: incomplete and df3trace will refuse this export without "
                      "--partial.\n"
                      "df3run: Raise trace_capacity= in the scenario (current ring: %zu "
-                     "records) or set\n"
-                     "df3run: the DF3_TRACE_CAPACITY environment variable.\n\n",
+                     "records).\n\n",
                      static_cast<unsigned long long>(o->trace().dropped()),
                      o->trace().capacity());
       }
