@@ -29,6 +29,20 @@
 ///   - Every call still validates its arguments; unreachable pairs are
 ///     remembered as empty paths and `send()` still fires `on_drop`.
 ///
+/// Zone-restricted misses. A miss searches only the biconnected blocks a
+/// simple path from src to dst can use. On the first miss after the epoch
+/// moved, the network builds the block-cut tree of its up links (an
+/// iterative Tarjan pass over link ids, O(nodes + links), stored in flat
+/// arrays). A miss walks that tree from src to dst, gathers the nodes of
+/// the blocks on the walk and runs Dijkstra over the gathered nodes only.
+/// Weights are non-negative, relaxation is strict and pops are ordered by
+/// (delay, node id), so a node outside those blocks — reachable only
+/// through an already-settled cut vertex — can never strictly improve a
+/// gathered one: the result is the full search's, bit for bit, equal-cost
+/// ties included. Pairs in different components (or touching a node with
+/// no up link) are empty without a search. A graph that is one big block
+/// searches that block, as a plain Dijkstra would.
+///
 /// Threading: a `Network` is used from the event-loop thread only. The
 /// `const` queries fill the memos, so no two threads may call into one
 /// `Network` at once; the parallel control lanes never send or route.
@@ -41,6 +55,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "df3/net/protocol.hpp"
@@ -87,6 +102,10 @@ class Network : public sim::Entity {
   [[nodiscard]] std::size_t node_count() const { return node_names_.size(); }
 
   /// Join two nodes with a bidirectional link; returns the link index.
+  /// Throws `invalid_argument` naming the field for a profile whose
+  /// bandwidth or max_payload is not finite and positive, whose duty_cycle
+  /// is outside (0, 1], or whose frame_overhead or base_latency is not
+  /// finite and non-negative: route search needs non-negative delays.
   std::size_t add_link(NodeId a, NodeId b, LinkProfile profile);
 
   /// Enable/disable a link (network partition injection).
@@ -123,7 +142,8 @@ class Network : public sim::Entity {
   void send(const Message& msg, std::function<void(sim::Time)> on_delivery,
             std::function<void()> on_drop = nullptr);
 
-  [[nodiscard]] const LinkStats& stats(std::size_t link) const;
+  /// Both directions of `link` summed.
+  [[nodiscard]] LinkStats stats(std::size_t link) const;
   [[nodiscard]] std::uint64_t messages_sent() const { return sent_; }
   [[nodiscard]] std::uint64_t messages_dropped() const { return dropped_; }
   /// Route-memo bounds (fixed, not configurable): the memo clears itself
@@ -135,6 +155,10 @@ class Network : public sim::Entity {
   /// same-node and invalid queries count as neither).
   [[nodiscard]] std::uint64_t route_cache_hits() const { return route_hits_; }
   [[nodiscard]] std::uint64_t route_cache_misses() const { return route_misses_; }
+  /// Nodes settled by the searches of all misses so far (observation only:
+  /// with zone-restricted misses an intra-building miss settles the same
+  /// count whatever the size of the city).
+  [[nodiscard]] std::uint64_t route_nodes_settled() const { return route_settled_; }
 
  private:
   struct Link {
@@ -149,6 +173,11 @@ class Network : public sim::Entity {
   [[nodiscard]] static std::size_t direction(const Link& l, NodeId from) {
     return from == l.a ? 0 : 1;
   }
+  /// One adjacency entry: the link and the node at its far end.
+  struct Adjacent {
+    std::uint32_t link;
+    NodeId to;
+  };
 
   struct RouteKey {
     NodeId src, dst;
@@ -169,16 +198,20 @@ class Network : public sim::Entity {
   /// points into `route_arena_` and is valid until the next route query.
   [[nodiscard]] std::span<const std::uint32_t> cached_route(NodeId src, NodeId dst,
                                                             util::Bytes size) const;
-  /// Dijkstra from scratch; appends the path to `route_arena_`.
+  /// Zone-restricted Dijkstra; appends the path to `route_arena_`.
   RouteSpan compute_route(NodeId src, NodeId dst, util::Bytes size) const;
+  /// Rebuild `zones_`, the block-cut tree of the up links.
+  void rebuild_zones() const;
+  /// Gather into `zone_` the nodes of every block on the block-cut tree
+  /// path from src to dst, unreached; false when the two are not connected.
+  bool gather_zone(NodeId src, NodeId dst) const;
 
   std::vector<std::string> node_names_;
   std::unordered_map<std::string, NodeId> by_name_;
   std::vector<Link> links_;
-  std::vector<std::vector<std::size_t>> adjacency_;  // node -> link indices
+  std::vector<std::vector<Adjacent>> adjacency_;  // node -> links, in insertion order
   std::uint64_t sent_ = 0;
   std::uint64_t dropped_ = 0;
-  mutable LinkStats merged_stats_{};  // scratch for stats() aggregation
   /// Topology epoch: bumped by add_link and real set_link_up transitions.
   std::uint64_t topology_epoch_ = 0;
   /// min_peer_latency() memo, valid while its epoch matches.
@@ -190,6 +223,35 @@ class Network : public sim::Entity {
   mutable std::uint64_t route_memo_epoch_ = 0;
   mutable std::uint64_t route_hits_ = 0;
   mutable std::uint64_t route_misses_ = 0;
+  mutable std::uint64_t route_settled_ = 0;
+
+  /// Block-cut tree of the up links, valid while its epoch matches and it
+  /// covers every node. Tree nodes [0, blocks) are biconnected blocks and
+  /// the rest are cut vertices; `kNoZone` marks no tree node / no parent.
+  static constexpr std::uint32_t kNoZone = UINT32_MAX;
+  struct Zones {
+    std::uint64_t epoch = UINT64_MAX;
+    std::vector<std::uint32_t> of_node;  ///< node -> tree node (kNoZone: no up link)
+    std::vector<std::uint32_t> parent;   ///< tree node -> parent (kNoZone: a root)
+    std::vector<std::uint32_t> depth;    ///< tree node -> distance from its root
+    /// Block b's nodes are block_nodes[block_begin[b], block_begin[b + 1]).
+    std::vector<std::uint32_t> block_begin;
+    std::vector<NodeId> block_nodes;
+  };
+  mutable Zones zones_;
+  /// Search scratch. The nodes a miss may use form a sparse set: node v
+  /// takes part iff `zone_[zone_slot_[v]].node == v`, so a new search just
+  /// clears `zone_`, and only `zone_slot_` is sized to the whole graph.
+  struct ZoneNode {
+    NodeId node;
+    std::uint32_t via;  ///< link it was reached by
+    double dist;        ///< tentative delay from src
+  };
+  /// v's entry in `zone_`, or nullptr when v is outside the search.
+  [[nodiscard]] ZoneNode* in_zone(NodeId v) const;
+  mutable std::vector<ZoneNode> zone_;
+  mutable std::vector<std::uint32_t> zone_slot_;
+  mutable std::vector<std::pair<double, NodeId>> heap_;
 };
 
 }  // namespace df3::net

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <queue>
+#include <cmath>
 #include <stdexcept>
 
 #include "df3/obs/obs.hpp"
@@ -48,10 +48,21 @@ std::size_t Network::add_link(NodeId a, NodeId b, LinkProfile profile) {
     throw std::out_of_range("Network::add_link: unknown node");
   }
   if (a == b) throw std::invalid_argument("Network::add_link: self loop");
+  const auto require = [](bool ok, const char* what) {
+    if (!ok) throw std::invalid_argument(std::string("Network::add_link: ") + what);
+  };
+  const auto positive = [](double x) { return std::isfinite(x) && x > 0.0; };
+  const auto non_negative = [](double x) { return std::isfinite(x) && x >= 0.0; };
+  require(positive(profile.bandwidth.value()), "bandwidth must be finite and > 0");
+  require(profile.duty_cycle > 0.0 && profile.duty_cycle <= 1.0, "duty_cycle outside (0, 1]");
+  require(positive(profile.max_payload.value()), "max_payload must be finite and > 0");
+  require(non_negative(profile.frame_overhead.value()), "frame_overhead must be finite and >= 0");
+  require(non_negative(profile.base_latency.value()), "base_latency must be finite and >= 0");
   links_.push_back(Link{a, b, std::move(profile), true, {0.0, 0.0}, {}});
   const std::size_t idx = links_.size() - 1;
-  adjacency_[a].push_back(idx);
-  adjacency_[b].push_back(idx);
+  const auto li = static_cast<std::uint32_t>(idx);
+  adjacency_[a].push_back({li, b});
+  adjacency_[b].push_back({li, a});
   ++topology_epoch_;
   return idx;
 }
@@ -107,40 +118,178 @@ std::span<const std::uint32_t> Network::cached_route(NodeId src, NodeId dst,
 }
 
 Network::RouteSpan Network::compute_route(NodeId src, NodeId dst, util::Bytes size) const {
-  // Dijkstra over unloaded one-hop delay for this payload size.
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> dist(node_names_.size(), kInf);
-  std::vector<std::size_t> via_link(node_names_.size(), SIZE_MAX);
-  std::vector<NodeId> via_node(node_names_.size(), 0);
-  using Item = std::pair<double, NodeId>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  dist[src] = 0.0;
-  heap.emplace(0.0, src);
-  while (!heap.empty()) {
-    const auto [d, u] = heap.top();
-    heap.pop();
-    if (d > dist[u]) continue;
+  if (zones_.epoch != topology_epoch_ || zones_.of_node.size() != node_names_.size()) {
+    rebuild_zones();
+    zone_slot_.resize(node_names_.size());  // after the rebuild's scratch is freed
+  }
+  const auto offset = static_cast<std::uint32_t>(route_arena_.size());
+  if (!gather_zone(src, dst)) return {offset, 0};
+  // Dijkstra over unloaded one-hop delay for this payload size, restricted
+  // to the gathered nodes (see the file comment for why it is exact).
+  const auto later = std::greater<>{};
+  zone_[zone_slot_[src]].dist = 0.0;
+  heap_.clear();
+  heap_.emplace_back(0.0, src);
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    const auto [d, u] = heap_.back();
+    heap_.pop_back();
+    if (d > zone_[zone_slot_[u]].dist) continue;
+    ++route_settled_;
     if (u == dst) break;
-    for (const std::size_t li : adjacency_[u]) {
-      const Link& l = links_[li];
+    for (const Adjacent& e : adjacency_[u]) {
+      ZoneNode* v = in_zone(e.to);
+      if (v == nullptr) continue;
+      const Link& l = links_[e.link];
       if (!l.up) continue;
-      const NodeId v = (l.a == u) ? l.b : l.a;
       const double w = l.profile.one_hop_delay(size).value();
-      if (d + w < dist[v]) {
-        dist[v] = d + w;
-        via_link[v] = li;
-        via_node[v] = u;
-        heap.emplace(dist[v], v);
+      if (d + w < v->dist) {
+        v->dist = d + w;
+        v->via = e.link;
+        heap_.emplace_back(v->dist, e.to);
+        std::push_heap(heap_.begin(), heap_.end(), later);
       }
     }
   }
-  const auto offset = static_cast<std::uint32_t>(route_arena_.size());
-  if (dist[dst] == kInf) return {offset, 0};
-  for (NodeId cur = dst; cur != src; cur = via_node[cur]) {
-    route_arena_.push_back(static_cast<std::uint32_t>(via_link[cur]));
+  if (zone_[zone_slot_[dst]].dist == std::numeric_limits<double>::infinity()) return {offset, 0};
+  for (NodeId cur = dst; cur != src;) {
+    const std::uint32_t li = zone_[zone_slot_[cur]].via;
+    const Link& l = links_[li];
+    route_arena_.push_back(li);
+    cur = (l.a == cur) ? l.b : l.a;
   }
   std::reverse(route_arena_.begin() + offset, route_arena_.end());
   return {offset, static_cast<std::uint32_t>(route_arena_.size() - offset)};
+}
+
+Network::ZoneNode* Network::in_zone(NodeId v) const {
+  const std::uint32_t s = zone_slot_[v];
+  return s < zone_.size() && zone_[s].node == v ? &zone_[s] : nullptr;
+}
+
+bool Network::gather_zone(NodeId src, NodeId dst) const {
+  const Zones& z = zones_;
+  std::uint32_t a = z.of_node[src];
+  std::uint32_t b = z.of_node[dst];
+  if (a == kNoZone || b == kNoZone) return false;
+  zone_.clear();
+  const std::size_t blocks = z.block_begin.size() - 1;
+  const auto gather = [&](std::uint32_t t) {
+    if (t >= blocks) return;  // a cut vertex: gathered with its blocks
+    for (std::uint32_t i = z.block_begin[t]; i < z.block_begin[t + 1]; ++i) {
+      const NodeId v = z.block_nodes[i];
+      if (in_zone(v) != nullptr) continue;
+      zone_slot_[v] = static_cast<std::uint32_t>(zone_.size());
+      zone_.push_back({v, 0, std::numeric_limits<double>::infinity()});
+    }
+  };
+  // Climb to the lowest common tree node; two roots mean two components.
+  for (; z.depth[a] > z.depth[b]; a = z.parent[a]) gather(a);
+  for (; z.depth[b] > z.depth[a]; b = z.parent[b]) gather(b);
+  for (; a != b; a = z.parent[a], b = z.parent[b]) {
+    if (z.parent[a] == kNoZone) return false;
+    gather(a);
+    gather(b);
+  }
+  gather(a);
+  return true;
+}
+
+void Network::rebuild_zones() const {
+  // Iterative Tarjan over link ids (so parallel links are back edges, not
+  // the tree edge), with a vertex stack: when a child u of p finishes with
+  // low[u] >= disc[p], the stack above u plus p is one block, stored with p
+  // last. Until the tree is numbered, `of_node` holds each node's up block:
+  // the block holding the link to its DFS parent.
+  const auto n = static_cast<NodeId>(node_names_.size());
+  Zones& z = zones_;
+  z.of_node.assign(n, kNoZone);
+  z.block_begin.assign(1, 0);
+  z.block_nodes.clear();
+  std::vector<std::uint32_t> disc(n, kNoZone), low(n, 0);
+  std::vector<std::uint8_t> is_cut(n, 0);
+  std::vector<NodeId> vstack;
+  struct Frame {
+    NodeId node;
+    std::uint32_t next;         // next adjacency entry to scan
+    std::uint32_t parent_link;  // the tree link into this node
+  };
+  std::vector<Frame> frames;
+  std::uint32_t clock = 0;
+  for (NodeId r = 0; r < n; ++r) {
+    if (disc[r] != kNoZone) continue;
+    disc[r] = low[r] = clock++;
+    vstack.push_back(r);
+    frames.push_back({r, 0, kNoZone});
+    std::uint32_t root_blocks = 0;
+    while (!frames.empty()) {
+      Frame& f = frames.back();
+      const NodeId u = f.node;
+      if (f.next < adjacency_[u].size()) {
+        const Adjacent e = adjacency_[u][f.next++];
+        if (e.link == f.parent_link || !links_[e.link].up) continue;
+        if (disc[e.to] == kNoZone) {
+          disc[e.to] = low[e.to] = clock++;
+          vstack.push_back(e.to);
+          frames.push_back({e.to, 0, e.link});
+        } else {
+          low[u] = std::min(low[u], disc[e.to]);
+        }
+        continue;
+      }
+      frames.pop_back();
+      if (frames.empty()) break;
+      const NodeId p = frames.back().node;
+      low[p] = std::min(low[p], low[u]);
+      if (low[u] < disc[p]) continue;
+      const auto block = static_cast<std::uint32_t>(z.block_begin.size() - 1);
+      if (p == r) {
+        ++root_blocks;
+      } else {
+        is_cut[p] = 1;
+      }
+      NodeId w;
+      do {
+        w = vstack.back();
+        vstack.pop_back();
+        z.block_nodes.push_back(w);
+        z.of_node[w] = block;
+      } while (w != u);
+      z.block_nodes.push_back(p);
+      z.block_begin.push_back(static_cast<std::uint32_t>(z.block_nodes.size()));
+    }
+    vstack.pop_back();  // r
+    if (root_blocks >= 2) {
+      is_cut[r] = 1;
+    } else if (root_blocks == 1) {
+      z.of_node[r] = static_cast<std::uint32_t>(z.block_begin.size() - 2);  // popped last
+    }
+  }
+  // Tree nodes: blocks first, then one per cut vertex, whose parent is its
+  // up block (none at a DFS root).
+  const auto blocks = static_cast<std::uint32_t>(z.block_begin.size() - 1);
+  std::uint32_t trees = blocks;
+  for (NodeId v = 0; v < n; ++v) trees += is_cut[v];
+  z.parent.assign(trees, kNoZone);
+  z.depth.assign(trees, 0);
+  trees = blocks;
+  for (NodeId v = 0; v < n; ++v) {
+    if (!is_cut[v]) continue;
+    z.parent[trees] = z.of_node[v];
+    z.of_node[v] = trees++;
+  }
+  // A block's parent is the cut vertex it hangs from (its last node). A
+  // block is popped before the block that vertex hangs from, so reverse pop
+  // order visits every parent before its children.
+  for (std::uint32_t b = blocks; b-- > 0;) {
+    const NodeId t = z.block_nodes[z.block_begin[b + 1] - 1];
+    if (!is_cut[t]) continue;  // the root block of its component
+    const std::uint32_t c = z.of_node[t];
+    z.depth[c] = z.parent[c] == kNoZone ? 0 : z.depth[z.parent[c]] + 1;
+    z.parent[b] = c;
+    z.depth[b] = z.depth[c] + 1;
+  }
+  z.epoch = topology_epoch_;
 }
 
 std::optional<util::Seconds> Network::unloaded_delay(NodeId src, NodeId dst,
@@ -200,15 +349,15 @@ void Network::send(const Message& msg, std::function<void(sim::Time)> on_deliver
   sim().schedule_at(t, [cb = std::move(on_delivery), t] { cb(t); });
 }
 
-const LinkStats& Network::stats(std::size_t link) const {
+LinkStats Network::stats(std::size_t link) const {
   const Link& l = links_.at(link);
-  merged_stats_ = LinkStats{};
+  LinkStats sum{};
   for (const auto& d : l.dir_stats) {
-    merged_stats_.messages += d.messages;
-    merged_stats_.bytes += d.bytes;
-    merged_stats_.busy_seconds += d.busy_seconds;
+    sum.messages += d.messages;
+    sum.bytes += d.bytes;
+    sum.busy_seconds += d.busy_seconds;
   }
-  return merged_stats_;
+  return sum;
 }
 
 }  // namespace df3::net

@@ -191,10 +191,13 @@ TEST(Network, StatsAccumulate) {
   c.netw.send(m, [](double) {});
   c.netw.send(m, [](double) {});
   c.sim.run();
-  const auto& st = c.netw.stats(c.l_dev);
+  const net::LinkStats st = c.netw.stats(c.l_dev);
+  const net::LinkStats idle = c.netw.stats(c.l_lan);  // a second live result
   EXPECT_EQ(st.messages, 2u);
   EXPECT_DOUBLE_EQ(st.bytes, 200.0);
   EXPECT_GT(st.busy_seconds, 0.0);
+  EXPECT_EQ(idle.messages, 0u);
+  EXPECT_EQ(c.netw.stats(c.l_dev).messages, 2u);
 }
 
 TEST(Network, Validation) {
@@ -205,6 +208,79 @@ TEST(Network, Validation) {
   EXPECT_THROW((void)n.add_link(a, 42, net::ethernet_lan()), std::out_of_range);
   EXPECT_THROW(n.send({a, a, u::bytes(1.0), 0}, nullptr), std::invalid_argument);
   EXPECT_THROW((void)n.route(a, 42, u::bytes(1.0)), std::out_of_range);
+}
+
+namespace {
+/// add_link must refuse `bad` with invalid_argument naming `field`, and
+/// leave the topology as it was.
+void expect_link_rejected(const net::LinkProfile& bad, const std::string& field) {
+  Simulation sim;
+  net::Network n(sim, "v");
+  const auto a = n.add_node("a");
+  const auto b = n.add_node("b");
+  try {
+    (void)n.add_link(a, b, bad);
+    ADD_FAILURE() << field << ": accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(n.link_count(), 0u);
+  EXPECT_TRUE(n.route(a, b, u::bytes(1.0)).empty());
+}
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInfinity = std::numeric_limits<double>::infinity();
+}  // namespace
+
+TEST(LinkProfileValidation, BandwidthFiniteAndPositive) {
+  for (const double v : {0.0, -1.0, kInfinity, kNan}) {
+    net::LinkProfile p = net::zigbee();
+    p.bandwidth = u::BitsPerSecond{v};
+    expect_link_rejected(p, "bandwidth");
+  }
+}
+
+TEST(LinkProfileValidation, DutyCycleInHalfOpenUnitInterval) {
+  for (const double v : {0.0, -0.5, 1.5, kNan}) {
+    net::LinkProfile p = net::lora();
+    p.duty_cycle = v;
+    expect_link_rejected(p, "duty_cycle");
+  }
+}
+
+TEST(LinkProfileValidation, MaxPayloadFiniteAndPositive) {
+  for (const double v : {0.0, -100.0, kInfinity, kNan}) {
+    net::LinkProfile p = net::wifi();
+    p.max_payload = u::Bytes{v};
+    expect_link_rejected(p, "max_payload");
+  }
+}
+
+TEST(LinkProfileValidation, FrameOverheadFiniteAndNonNegative) {
+  for (const double v : {-1.0, kInfinity, kNan}) {
+    net::LinkProfile p = net::ethernet_lan();
+    p.frame_overhead = u::Bytes{v};
+    expect_link_rejected(p, "frame_overhead");
+  }
+  Simulation sim;
+  net::Network n(sim, "v");
+  net::LinkProfile zero = net::ethernet_lan();
+  zero.frame_overhead = u::bytes(0.0);
+  EXPECT_NO_THROW((void)n.add_link(n.add_node("a"), n.add_node("b"), zero));
+}
+
+TEST(LinkProfileValidation, BaseLatencyFiniteAndNonNegative) {
+  // A negative latency would hand route search a negative edge weight.
+  for (const double v : {-0.001, kInfinity, kNan}) {
+    net::LinkProfile p = net::fiber_wan();
+    p.base_latency = u::Seconds{v};
+    expect_link_rejected(p, "base_latency");
+  }
+  Simulation sim;
+  net::Network n(sim, "v");
+  net::LinkProfile zero = net::fiber_wan();
+  zero.base_latency = u::seconds(0.0);  // an ideal wire stays legal
+  EXPECT_NO_THROW((void)n.add_link(n.add_node("a"), n.add_node("b"), zero));
 }
 
 TEST(Network, SegmentedVsSharedLanContention) {
@@ -521,4 +597,206 @@ TEST(RouteMemo, WarmMemoStillValidatesAndDrops) {
   EXPECT_EQ(drops, 3);
   EXPECT_EQ(c.netw.messages_dropped(), 3u);
   EXPECT_EQ(c.netw.route_cache_hits(), hits + 2);
+}
+
+// ------------------------------------------------------------ route zones ---
+
+namespace {
+/// A city shaped like Df3Platform's wiring, mirrored link-for-link: an
+/// Internet hub and, per building, a gateway on a fiber uplink, a Zigbee
+/// device radio and a Wi-Fi access point, each wired to the gateway and to
+/// room 0's server (the dev–gw–srv0 and wifi–gw–srv0 triangles form one
+/// block), plus one LAN bridge per further room. The extras the platform
+/// never builds — parallel links, isolated nodes and a device backhaul to
+/// the hub that beats Zigbee for large payloads — are added by the
+/// differential test.
+struct CityTopology {
+  Simulation sim;
+  net::Network netw{sim, "city"};
+  std::vector<MirrorLink> links;
+  net::NodeId hub = netw.add_node("internet");
+  struct Building {
+    net::NodeId gw, dev, wifi;
+    std::vector<net::NodeId> srv;
+  };
+  std::vector<Building> buildings;
+  std::vector<std::size_t> uplinks, bridges, in_block;
+
+  CityTopology() = default;
+  CityTopology(std::size_t n, std::size_t rooms) {
+    for (std::size_t i = 0; i < n; ++i) add_building(rooms);
+  }
+
+  std::size_t add(net::NodeId a, net::NodeId b, const net::LinkProfile& p) {
+    const std::size_t li = netw.add_link(a, b, p);
+    EXPECT_EQ(li, links.size());
+    links.push_back({a, b, p, true});
+    return li;
+  }
+  Building& add_building(std::size_t rooms) {
+    const std::string name = "b" + std::to_string(buildings.size());
+    Building b{netw.add_node(name + "/gw"), netw.add_node(name + "/dev"),
+               netw.add_node(name + "/wifi"), {}};
+    in_block.push_back(add(b.dev, b.gw, net::zigbee()));
+    in_block.push_back(add(b.wifi, b.gw, net::wifi()));
+    uplinks.push_back(add(b.gw, hub, net::fiber_wan()));
+    for (std::size_t i = 0; i < rooms; ++i) {
+      b.srv.push_back(netw.add_node(name + "/srv" + std::to_string(i)));
+      const std::size_t lan = add(b.gw, b.srv.back(), net::ethernet_lan());
+      if (i == 0) {
+        in_block.push_back(lan);
+        in_block.push_back(add(b.dev, b.srv[0], net::zigbee()));
+        in_block.push_back(add(b.wifi, b.srv[0], net::wifi()));
+      } else {
+        bridges.push_back(lan);
+      }
+    }
+    buildings.push_back(std::move(b));
+    return buildings.back();
+  }
+  void set_up(std::size_t li, bool up) {
+    netw.set_link_up(li, up);
+    links[li].up = up;
+  }
+  [[nodiscard]] std::vector<std::size_t> expected(net::NodeId s, net::NodeId d,
+                                                  u::Bytes size) const {
+    return reference_route(netw.node_count(), links, s, d, size);
+  }
+  /// Nodes settled by one route query (a miss when the pair is new).
+  std::uint64_t settled_by(net::NodeId s, net::NodeId d, u::Bytes size) {
+    const std::uint64_t before = netw.route_nodes_settled();
+    (void)netw.route(s, d, size);
+    return netw.route_nodes_settled() - before;
+  }
+};
+
+/// Sizes either side of the Zigbee/backhaul cross-over: a few hundred
+/// bytes go over the radio, kilobytes go round through the hub.
+const std::array<double, 8> kCitySizes = {0.0, 64.0, 256.0, 1000.0, 2048.0, 4096.0, 65536.0, 1e6};
+}  // namespace
+
+TEST(RouteZone, MatchesReferenceOnCityGraphsUnderChurn) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    std::mt19937_64 rng(seed);
+    const auto pick = [&rng](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+    CityTopology t;
+    std::vector<std::size_t> extras;  // parallel links and backhauls
+    for (std::size_t i = 0; i < 12; ++i) {
+      auto& b = t.add_building(1 + pick(3));
+      if (pick(3) == 0) extras.push_back(t.add(b.gw, t.hub, net::fiber_wan()));  // parallel uplink
+      if (b.srv.size() > 1 && pick(2) == 0) {
+        extras.push_back(t.add(b.gw, b.srv[1], net::ethernet_lan()));  // parallel bridge
+      }
+      if (pick(3) == 0) extras.push_back(t.add(b.dev, t.hub, net::fiber_wan()));  // backhaul
+      if (pick(4) == 0) (void)t.netw.add_node("lone" + std::to_string(i));  // isolated
+    }
+    const auto any_node = [&] { return static_cast<net::NodeId>(pick(t.netw.node_count())); };
+    const auto building_node = [&](const CityTopology::Building& b) {
+      const std::size_t k = pick(3 + b.srv.size());
+      return k == 0 ? b.gw : k == 1 ? b.dev : k == 2 ? b.wifi : b.srv[k - 3];
+    };
+    for (int op = 0; op < 2500; ++op) {
+      const std::size_t r = pick(100);
+      if (r < 8) {  // flap a bridge, an uplink, an in-block link or an extra
+        const std::vector<std::size_t>* kinds[] = {&t.bridges, &t.uplinks, &t.in_block, &extras};
+        const auto& kind = *kinds[pick(4)];
+        if (!kind.empty()) t.set_up(kind[pick(kind.size())], pick(3) != 0);
+        continue;
+      }
+      const auto& b1 = t.buildings[pick(t.buildings.size())];
+      const auto& b2 = t.buildings[pick(t.buildings.size())];
+      net::NodeId s = building_node(b1);
+      net::NodeId d = r < 55 ? building_node(b1) : building_node(b2);
+      if (r >= 90) s = any_node();
+      if (r >= 95) d = any_node();
+      const u::Bytes size = pick(8) == 0 ? u::bytes(static_cast<double>(pick(300000)))
+                                         : u::bytes(kCitySizes[pick(kCitySizes.size())]);
+      ASSERT_EQ(t.netw.route(s, d, size), t.expected(s, d, size))
+          << "seed " << seed << " op " << op << ": " << t.netw.node_name(s) << " -> "
+          << t.netw.node_name(d) << " " << size.value() << " B";
+    }
+    EXPECT_GT(t.netw.route_cache_hits(), 0u);
+    EXPECT_GT(t.netw.route_cache_misses(), 0u);
+  }
+}
+
+TEST(RouteZone, PayloadSizeFlipsRadioAndBackhaul) {
+  CityTopology t(3, 2);
+  const auto& b = t.buildings[1];
+  const std::size_t backhaul = t.add(b.dev, t.hub, net::fiber_wan());
+  const std::size_t radio = t.in_block[5];  // building 1's dev–gw Zigbee link
+  ASSERT_EQ(t.links[radio].a, b.dev);
+  ASSERT_EQ(t.links[radio].b, b.gw);
+  EXPECT_EQ(t.netw.route(b.dev, b.gw, u::bytes(64.0)), (std::vector<std::size_t>{radio}));
+  EXPECT_EQ(t.netw.route(b.dev, b.gw, u::bytes(4096.0)),
+            (std::vector<std::size_t>{backhaul, t.uplinks[1]}));
+  for (const double s : kCitySizes) {
+    EXPECT_EQ(t.netw.route(b.dev, b.gw, u::bytes(s)), t.expected(b.dev, b.gw, u::bytes(s))) << s;
+  }
+}
+
+TEST(RouteZone, CutVertexEndpointsAndDownBridges) {
+  CityTopology t(4, 3);
+  const auto& b0 = t.buildings[0];
+  const auto& b2 = t.buildings[2];
+  const auto size = u::bytes(256.0);
+  // Both endpoints are cut vertices: two gateways, and the hub itself.
+  EXPECT_EQ(t.netw.route(b0.gw, b2.gw, size), (std::vector<std::size_t>{t.uplinks[0], t.uplinks[2]}));
+  EXPECT_EQ(t.netw.route(t.hub, b2.gw, size), (std::vector<std::size_t>{t.uplinks[2]}));
+  EXPECT_EQ(t.netw.route(b0.dev, b2.srv[2], size), t.expected(b0.dev, b2.srv[2], size));
+
+  // A down bridge cuts its room off: unreachable without a search.
+  const std::size_t bridge = t.bridges[2 * 2 + 1];  // b2's gw–srv2 bridge
+  ASSERT_EQ(t.links[bridge].b, b2.srv[2]);
+  t.set_up(bridge, false);
+  const std::uint64_t settled = t.netw.route_nodes_settled();
+  EXPECT_TRUE(t.netw.route(b0.dev, b2.srv[2], size).empty());
+  EXPECT_TRUE(t.netw.route(b2.srv[2], b2.gw, size).empty());
+  EXPECT_EQ(t.netw.route_nodes_settled(), settled);
+  bool dropped = false;
+  t.netw.send({b0.dev, b2.srv[2], size, 0}, [](double) { FAIL() << "delivered"; },
+              [&] { dropped = true; });
+  t.sim.run();
+  EXPECT_TRUE(dropped);
+
+  // It comes back up: the next miss rebuilds the zone index and finds it.
+  t.set_up(bridge, true);
+  EXPECT_EQ(t.netw.route(b0.dev, b2.srv[2], size), t.expected(b0.dev, b2.srv[2], size));
+  EXPECT_FALSE(t.netw.route(b2.srv[2], b2.gw, size).empty());
+
+  // A down uplink splits a whole building off; a node that never had a
+  // link is unreachable from everywhere.
+  t.set_up(t.uplinks[2], false);
+  EXPECT_TRUE(t.netw.route(b0.gw, b2.dev, size).empty());
+  EXPECT_EQ(t.netw.route(b2.dev, b2.srv[1], size), t.expected(b2.dev, b2.srv[1], size));
+  const auto lone = t.netw.add_node("lone");
+  EXPECT_TRUE(t.netw.route(b0.gw, lone, size).empty());
+  EXPECT_TRUE(t.netw.route(lone, b0.gw, size).empty());
+}
+
+TEST(RouteZone, IntraBuildingMissCostDoesNotGrowWithCity) {
+  // The same misses in a 10-building and a 5,000-building city settle the
+  // same number of nodes: the search never leaves the endpoints' blocks.
+  CityTopology small(10, 2);
+  CityTopology large(5000, 2);
+  const auto size = u::bytes(256.0);
+  for (const std::size_t bi : {std::size_t{0}, std::size_t{7}}) {
+    const auto& s = small.buildings[bi];
+    const auto& l = large.buildings[bi];
+    const std::uint64_t gw_dev = small.settled_by(s.gw, s.dev, size);
+    EXPECT_EQ(large.settled_by(l.gw, l.dev, size), gw_dev);
+    EXPECT_LE(gw_dev, 4u);  // the dev–gw–wifi–srv0 block at most
+    const std::uint64_t dev_srv = small.settled_by(s.dev, s.srv[0], size);
+    EXPECT_EQ(large.settled_by(l.dev, l.srv[0], size), dev_srv);
+    EXPECT_LE(dev_srv, 4u);
+    // A bridge room is a block of its own beside the gateway.
+    EXPECT_EQ(large.settled_by(l.dev, l.srv[1], size), small.settled_by(s.dev, s.srv[1], size));
+  }
+  // Crossing the hub settles the same count too; the hub's other uplinks
+  // are skipped by one membership test each.
+  const std::uint64_t cross = small.settled_by(small.buildings[0].dev, small.buildings[7].srv[1], size);
+  EXPECT_EQ(large.settled_by(large.buildings[0].dev, large.buildings[7].srv[1], size), cross);
+  EXPECT_LE(cross, 10u);
+  EXPECT_EQ(large.netw.route(large.buildings[0].dev, large.buildings[7].srv[1], size),
+            large.expected(large.buildings[0].dev, large.buildings[7].srv[1], size));
 }
