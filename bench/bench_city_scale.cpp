@@ -1,9 +1,9 @@
-// Scaling sweep of the sharded, vectorized, activity-gated fleet kernel
-// (DESIGN.md section 8): full-city tick cost from 1e3 to 1e6 rooms, winter
-// vs summer. In January the gate never fires and every tick runs the full
-// thermostat -> regulate control sweep; in July the fleet goes quiet after
-// the first control pass and districts coast on the gated fast path, so the
-// winter/summer pair brackets the kernel's cost envelope.
+// Scaling sweep of the sharded, vectorized fleet kernel (DESIGN.md
+// section 8): full-city tick cost from 1e3 to 1e6 rooms, winter vs summer.
+// Both seasons run the same thermostat -> regulate control sweep and the
+// same RC kernels every tick; in January the regulators track real heat
+// demand, in July the heaters idle, so the pair brackets the kernel's cost
+// envelope.
 //
 // Room counts come from DF3_SCALE_ROOMS (csv, default
 // "1000,10000,100000,1000000") and thread counts (PlatformConfig::threads)
@@ -17,8 +17,8 @@
 // which at 100k buildings is wiring cost, not kernel cost.
 //
 // Output: a console table plus BENCH_scale.json (path overridable with
-// DF3_BENCH_JSON): ns/room-tick, items/s, gated district fraction, shard
-// count and the effective thread count per row.
+// DF3_BENCH_JSON): ns/room-tick, items/s, shard count and the effective
+// thread count per row.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -79,7 +79,6 @@ struct Row {
   const char* season;
   double ns_per_room_tick;
   double items_per_s;
-  double gated_fraction;
   std::size_t shards;
   std::size_t threads;
 };
@@ -101,13 +100,9 @@ Row run_row(std::size_t rooms, int month, const char* season, std::size_t thread
   const std::uint64_t ticks =
       std::clamp(kTargetItems / std::max<std::uint64_t>(1, total_rooms), kMinTicks, kMaxTicks);
 
-  const std::uint64_t d0 = city.district_ticks();
-  const std::uint64_t g0 = city.gated_district_ticks();
   const auto start = std::chrono::steady_clock::now();
   city.run(util::Seconds{static_cast<double>(ticks) * tick_s});
   const auto stop = std::chrono::steady_clock::now();
-  const std::uint64_t dd = city.district_ticks() - d0;
-  const std::uint64_t dg = city.gated_district_ticks() - g0;
 
   const double secs = std::chrono::duration<double>(stop - start).count();
   const double items = static_cast<double>(total_rooms) * static_cast<double>(ticks);
@@ -116,7 +111,6 @@ Row run_row(std::size_t rooms, int month, const char* season, std::size_t thread
   r.season = season;
   r.ns_per_room_tick = secs / items * 1e9;
   r.items_per_s = items / secs;
-  r.gated_fraction = dd > 0 ? static_cast<double>(dg) / static_cast<double>(dd) : 0.0;
   r.shards = city.shard_count();
   // Report the *effective* count: the platform clamps it to the shard
   // count, so an 8-thread request over 3 shards runs (and is recorded as) 3.
@@ -130,8 +124,8 @@ int main() {
   std::printf("bench_city_scale: sharded fleet kernel, %zu rooms/building, "
               "timed window ~%llu room-ticks\n\n",
               kRoomsPerBuilding, static_cast<unsigned long long>(kTargetItems));
-  std::printf("%9s %7s %12s %14s %8s %7s %8s\n", "rooms", "season", "ns/room-tick",
-              "items/s", "gated", "shards", "threads");
+  std::printf("%9s %7s %12s %14s %7s %8s\n", "rooms", "season", "ns/room-tick", "items/s",
+              "shards", "threads");
 
   std::vector<Row> rows;
   std::vector<std::size_t> thread_counts = env_counts("DF3_SCALE_THREADS", "1,2,8");
@@ -141,9 +135,8 @@ int main() {
       for (const std::size_t threads : thread_counts) {
         const Row r = run_row(rooms, month, season, threads);
         rows.push_back(r);
-        std::printf("%9zu %7s %12.1f %14.3e %7.1f%% %7zu %8zu\n", r.rooms, r.season,
-                    r.ns_per_room_tick, r.items_per_s, 100.0 * r.gated_fraction, r.shards,
-                    r.threads);
+        std::printf("%9zu %7s %12.1f %14.3e %7zu %8zu\n", r.rooms, r.season,
+                    r.ns_per_room_tick, r.items_per_s, r.shards, r.threads);
       }
     }
   }
@@ -159,7 +152,7 @@ int main() {
         << ", \"rooms\": " << r.rooms << ", \"season\": \"" << r.season << "\""
         << ", \"ns_per_room_tick\": " << r.ns_per_room_tick
         << ", \"items_per_s\": " << r.items_per_s
-        << ", \"gated_fraction\": " << r.gated_fraction << ", \"shards\": " << r.shards
+        << ", \"shards\": " << r.shards
         << ", \"threads\": " << r.threads << '}'
         << (i + 1 < rows.size() ? "," : "") << '\n';
   }

@@ -172,23 +172,8 @@ class Cluster : public sim::Entity, private policy::LadderMechanism {
   /// under architecture class B.
   std::size_t add_worker(hw::ServerSpec spec, net::NodeId node);
 
-  /// Mutable worker access can reach the server control plane (fault
-  /// injectors and tests power chassis on/off through here), so it bumps
-  /// `control_epoch()`: any activity-gated district (Df3Platform) falls
-  /// back to the stepped control path until its regulators re-observe the
-  /// servers. Use the const overload for pure reads.
-  [[nodiscard]] Worker& worker(std::size_t i) {
-    ++control_epoch_;
-    return *workers_.at(i);
-  }
+  [[nodiscard]] Worker& worker(std::size_t i) { return *workers_.at(i); }
   [[nodiscard]] const Worker& worker(std::size_t i) const { return *workers_.at(i); }
-
-  /// Monotonic count of exogenous control-plane touches: mutable worker()
-  /// access and pinned (composition) executions. The platform's activity
-  /// gating records the value when a district goes quiet and takes the
-  /// gated fast path only while it is unchanged — anything that might have
-  /// moved a server's powered/P-state/filler settings invalidates the gate.
-  [[nodiscard]] std::uint64_t control_epoch() const { return control_epoch_; }
   [[nodiscard]] std::size_t worker_count() const { return workers_.size(); }
   [[nodiscard]] net::NodeId gateway_node() const { return gateway_node_; }
 
@@ -390,7 +375,6 @@ class Cluster : public sim::Entity, private policy::LadderMechanism {
   std::vector<policy::PeerInfo> peer_scratch_;
   /// Pending bookkeeping keyed by the RequestState pointer.
   std::unordered_map<const RequestState*, std::shared_ptr<Pending>> pending_;
-  std::uint64_t control_epoch_ = 0;
   bool pumping_ = false;
   /// Lane-snapshot of the peer-visible load signals (see arm_lane_snapshot).
   double lane_backlog_per_core_ = 0.0;

@@ -37,14 +37,6 @@ void step_rooms_1r1c(std::size_t n, double t_out_c,
                      const double* __restrict decay,
                      double* __restrict temp_c);
 
-/// Substep accounting for one 2R2C kernel invocation (activity gating
-/// telemetry): how many full substeps ran and how many were provably
-/// skipped by the fixed-point early exit.
-struct Substeps2R2C {
-  std::uint64_t full_steps_run = 0;
-  std::uint64_t full_steps_skipped = 0;
-};
-
 /// Advance `n` 2R2C rooms by one tick of explicit-Euler substeps. The
 /// substep schedule (`n_full` steps of `max_step_s`, then one `h_last_s`
 /// step when positive) is uniform across the slice — Df3Platform builds it
@@ -52,22 +44,14 @@ struct Substeps2R2C {
 /// (every room advances step k before any room takes step k+1); rooms are
 /// independent, so this reorders nothing within a room and keeps every bit
 /// identical to the room-major scalar loop.
-///
-/// With `allow_early_exit` (an activity-gated district), the kernel watches
-/// for a bitwise fixed point: when one full substep leaves every t_air and
-/// t_env bit unchanged, the remaining full substeps are applications of the
-/// same pure function to the same state and are skipped as provable
-/// identities. The trailing `h_last_s` step always runs (a fixed point of
-/// step(max_step) need not be one of step(h_last)).
-Substeps2R2C step_rooms_2r2c(std::size_t n, double t_out_c,
-                             const double* __restrict q_total_w,
-                             const double* __restrict r_air_env,
-                             const double* __restrict r_env_out,
-                             const double* __restrict c_air,
-                             const double* __restrict c_env,
-                             double max_step_s, double h_last_s, std::uint32_t n_full,
-                             bool allow_early_exit,
-                             double* __restrict t_air_c,
-                             double* __restrict t_env_c);
+void step_rooms_2r2c(std::size_t n, double t_out_c,
+                     const double* __restrict q_total_w,
+                     const double* __restrict r_air_env,
+                     const double* __restrict r_env_out,
+                     const double* __restrict c_air,
+                     const double* __restrict c_env,
+                     double max_step_s, double h_last_s, std::uint32_t n_full,
+                     double* __restrict t_air_c,
+                     double* __restrict t_env_c);
 
 }  // namespace df3::core::fleet

@@ -28,7 +28,6 @@
 #include "df3/baselines/datacenter.hpp"
 #include "df3/util/thread_pool.hpp"
 #include "df3/core/cluster.hpp"
-#include "df3/core/fleet_kernel.hpp"
 #include "df3/core/heat_regulator.hpp"
 #include "df3/grid/signal.hpp"
 #include "df3/metrics/audit.hpp"
@@ -119,12 +118,6 @@ struct PlatformConfig {
   /// any value. Smaller shards = more parallel slack, more scheduling
   /// overhead.
   std::size_t shard_rooms = 4096;
-  /// Activity gating (DESIGN.md section 8): districts whose regulators are
-  /// provably idle-stable skip the per-room control replay, and quiescent
-  /// 2R2C slices stop substepping at a bitwise fixed point. Both fast paths
-  /// fire only when bit-identical to the stepped path (assert-checked under
-  /// DF3_AUDIT), so this is a pure speed knob.
-  bool activity_gating = true;
   /// Federation peers per cluster: 0 = full mesh (the historical default),
   /// otherwise each cluster peers with its `federation_degree` next ring
   /// neighbors. City-scale benches set a small degree so peer wiring stays
@@ -260,23 +253,21 @@ class Df3Platform {
   [[nodiscard]] baselines::Datacenter* datacenter() { return datacenter_.get(); }
   [[nodiscard]] sim::Time now() const { return sim_.now(); }
 
-  // --- sharding & activity gating (benches & tests) ---
+  // --- sharding (benches & tests) ---
   /// Physics shards (districts) the current fleet packs into; rebuilds the
   /// shard map if buildings were added since the last tick.
   [[nodiscard]] std::size_t shard_count();
-  /// District-ticks elapsed (shards x ticks) and how many of them took the
-  /// activity-gated fast path. Their ratio is the bench's gated fraction.
+  /// District-ticks elapsed (shards x ticks).
   [[nodiscard]] std::uint64_t district_ticks() const { return district_ticks_; }
-  [[nodiscard]] std::uint64_t gated_district_ticks() const { return gated_district_ticks_; }
-  [[nodiscard]] double gated_district_fraction() const {
-    return district_ticks_ == 0
-               ? 0.0
-               : static_cast<double>(gated_district_ticks_) / static_cast<double>(district_ticks_);
-  }
-  /// 2R2C substep accounting across the run (full substeps executed vs
-  /// provably skipped at a bitwise fixed point by gated districts).
+  /// Full 2R2C substeps executed across the run: each tick adds every
+  /// 2R2C building's `n_full` schedule length.
   [[nodiscard]] std::uint64_t substeps_run() const { return substeps_run_; }
-  [[nodiscard]] std::uint64_t substeps_skipped() const { return substeps_skipped_; }
+  /// Always 0. Kept only until citybench retires its gated-district
+  /// fraction metric (ROADMAP item 8).
+  [[nodiscard]] std::uint64_t gated_district_ticks() const { return 0; }
+  /// Always 0. Kept only until citybench retires its
+  /// `core.substeps_skipped_ratio` metric (ROADMAP item 8).
+  [[nodiscard]] std::uint64_t substeps_skipped() const { return 0; }
   /// Execution-shape accounting (DESIGN.md §12): ticks that ran staged
   /// (control fanned out over lanes), and ticks where a zero conservative
   /// lookahead (some up link with zero base latency) forced the fused
@@ -422,21 +413,16 @@ class Df3Platform {
   /// per-building metrics. Touches only building-owned state plus this
   /// building's slice of the fleet arrays, so buildings can run on any
   /// thread in any order without changing a single bit of the result.
-  /// Returns the 2R2C substep accounting for the building's rooms.
-  fleet::Substeps2R2C physics_building(std::size_t b, sim::Time t, util::Celsius t_out,
-                                       util::Celsius seasonal, double hour);
-  /// Physics for every building of one shard, in building-major order.
-  void physics_shard(std::size_t s, sim::Time t, util::Celsius t_out, util::Celsius seasonal,
-                     double hour);
+  void physics_building(std::size_t b, sim::Time t, util::Celsius t_out, util::Celsius seasonal,
+                        double hour);
   /// Lane stage of the control phase for one building (DESIGN.md §12):
   /// every control decision that touches only building-owned state —
   /// thermostat demand math, regulate(), inlet feedback, last-demand
-  /// bookkeeping, the gated-path audit replay (findings buffered, not
-  /// reported), the quiet-proof re-derivation, and the speed sync of
-  /// control-quiescent clusters. Never schedules events, never touches the
-  /// ledger, auditor, city aggregates, or another building, so lanes can
-  /// run it on any thread in any order without changing a single bit.
-  void control_building_math(std::size_t b, double t_out_c, std::vector<std::string>& findings);
+  /// bookkeeping, and the speed sync of control-quiescent clusters. Never
+  /// schedules events, never touches the ledger, auditor, city aggregates,
+  /// or another building, so lanes can run it on any thread in any order
+  /// without changing a single bit.
+  void control_building_math(std::size_t b, double t_out_c);
   /// Boundary-drain stage for one building: everything cross-cutting the
   /// lane split — the order-sensitive ledger/city-aggregate reduction and
   /// the deferred sync_workers() (event re-arming + queue pumps). Runs
@@ -489,40 +475,24 @@ class Df3Platform {
   /// Per-room net heat input (W), staged by the scalar physics pass and
   /// consumed by the vector room-update kernels (fleet_kernel.hpp).
   std::vector<double> q_total_w_;
-  /// Activity gating state. A building is *quiet* when its last control
-  /// sweep left every regulator provably idle-stable (regulate() would be
-  /// a bitwise no-op); the epoch pins the cluster state that proof was
-  /// made against. bld_gated_ is per-tick scratch: physics decides, the
-  /// control phase replays the decision.
-  std::vector<std::uint8_t> bld_quiet_;
-  std::vector<std::uint64_t> bld_quiet_epoch_;
-  std::vector<std::uint8_t> bld_gated_;
   /// Per-tick scratch: 1 = the building's cluster was not control-quiescent
   /// during the lane stage, so its sync_workers() (event re-arms + pumps)
   /// runs in the serial boundary drain instead.
   std::vector<std::uint8_t> bld_sync_deferred_;
-  /// Per-shard substep accounting scratch (parallel-written by shard, then
-  /// reduced serially) and gating/substep run totals.
-  std::vector<std::uint64_t> shard_substeps_run_;
-  std::vector<std::uint64_t> shard_substeps_skipped_;
   std::uint64_t district_ticks_ = 0;
-  std::uint64_t gated_district_ticks_ = 0;
   std::uint64_t substeps_run_ = 0;
-  std::uint64_t substeps_skipped_ = 0;
-  std::size_t tick_gated_districts_ = 0;
+  /// Full 2R2C substeps one tick runs: the sum of n_full over 2R2C
+  /// buildings, kept current by add_building.
+  std::uint64_t substeps_per_tick_ = 0;
   /// Per-shard host-clock span scratch (workers record, the serial phase
   /// emits) + interned per-shard obs track names.
   std::vector<double> shard_span_begin_s_;
   std::vector<double> shard_span_end_s_;
   std::vector<std::string> shard_track_name_;
-  /// Per-lane host-clock span scratch + interned lane obs track names, and
-  /// the per-lane gated-replay finding buffers (appended by lanes under
-  /// kFull audit, reported serially after the drain in lane order — which
-  /// is building order, since lanes cover contiguous ascending ranges).
+  /// Per-lane host-clock span scratch + interned lane obs track names.
   std::vector<double> lane_span_begin_s_;
   std::vector<double> lane_span_end_s_;
   std::vector<std::string> lane_track_name_;
-  std::vector<std::vector<std::string>> lane_findings_;
   std::uint64_t lane_parallel_ticks_ = 0;
   std::uint64_t lane_fallback_ticks_ = 0;
   std::unique_ptr<util::ThreadPool> pool_;  ///< lazily created; serves physics and lanes
@@ -556,7 +526,6 @@ class Df3Platform {
   /// up to the platform's cumulative total).
   struct ObsFeed {
     obs::MetricId room_mean_c, usable_cores, heat_demand_w, outdoor_c, regulator_err;
-    obs::MetricId gated_districts;  ///< fleet/gated_districts gauge (per tick)
     obs::MetricId energy_it_j, energy_useful_j, energy_waste_j, energy_overhead_j, pue,
         heat_reuse;
     obs::MetricId preemptions, offload_horizontal, offload_vertical, edge_delays;

@@ -126,10 +126,6 @@ void Cluster::submit_direct(workload::Request r, net::NodeId origin, std::size_t
 void Cluster::run_pinned(workload::Request r, std::size_t widx, CompletionSink done) {
   if (widx >= workers_.size()) throw std::out_of_range("run_pinned: bad worker index");
   if (!done) throw std::invalid_argument("run_pinned: null completion callback");
-  // Pinned execution bypasses the eligibility checks of regular placement,
-  // so it can load a worker the regulators believed idle — invalidate any
-  // activity gate watching this cluster.
-  ++control_epoch_;
   ++stats_.received_pinned;
   // Journey root for pinned injections (the platform opens the journey at
   // intake). Composition stages share ids and are never opened, so this

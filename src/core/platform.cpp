@@ -7,6 +7,7 @@
 #include <thread>
 #include <utility>
 
+#include "df3/core/fleet_kernel.hpp"
 #include "df3/policy/registry.hpp"
 #include "df3/thermal/calendar.hpp"
 
@@ -35,7 +36,6 @@ Df3Platform::Df3Platform(PlatformConfig config)
     feed_.usable_cores = reg.gauge("city/usable_cores");
     feed_.heat_demand_w = reg.gauge("city/heat_demand_w");
     feed_.outdoor_c = reg.gauge("city/outdoor_c");
-    feed_.gated_districts = reg.gauge("fleet/gated_districts");
     feed_.regulator_err = reg.gauge("regulator/rel_error");
     feed_.energy_it_j = reg.gauge("energy/it_j");
     feed_.energy_useful_j = reg.gauge("energy/useful_heat_j");
@@ -189,6 +189,7 @@ std::size_t Df3Platform::add_building(const BuildingConfig& cfg) {
     fleet_.indoors.push_back(0);
   }
   b->room_end = fleet_.size();
+  substeps_per_tick_ += fleet_.r2_n_full[b->room_begin];  // 0 for 1R1C rooms
   bld_target_c_.push_back(0.0);
   bld_season_.push_back(0);
   bld_demand_w_.push_back(0.0);
@@ -279,17 +280,7 @@ void Df3Platform::ensure_shards() {
     shards_.push_back({begin, nb, buildings_[begin]->room_begin, buildings_[nb - 1]->room_end});
   }
   q_total_w_.assign(fleet_.size(), 0.0);
-  bld_gated_.assign(nb, 0);
-  // Quiet flags survive a rebuild only if the building set is unchanged
-  // (rebuilds mid-run happen only when buildings were added, which resets
-  // the proof anyway).
-  if (bld_quiet_.size() != nb) {
-    bld_quiet_.assign(nb, 0);
-    bld_quiet_epoch_.assign(nb, 0);
-  }
   const std::size_t ns = shards_.size();
-  shard_substeps_run_.assign(ns, 0);
-  shard_substeps_skipped_.assign(ns, 0);
   shard_span_begin_s_.assign(ns, 0.0);
   shard_span_end_s_.assign(ns, 0.0);
   shard_track_name_.clear();
@@ -301,7 +292,6 @@ void Df3Platform::ensure_shards() {
   bld_sync_deferred_.assign(nb, 0);
   lane_span_begin_s_.assign(ns, 0.0);
   lane_span_end_s_.assign(ns, 0.0);
-  lane_findings_.assign(ns, {});
   lane_track_name_.clear();
   lane_track_name_.reserve(ns);
   for (std::size_t s = 0; s < ns; ++s) {
@@ -576,9 +566,8 @@ std::vector<std::string> Df3Platform::audit_now() {
   return findings;
 }
 
-fleet::Substeps2R2C Df3Platform::physics_building(std::size_t b, sim::Time t,
-                                                  util::Celsius t_out, util::Celsius seasonal,
-                                                  double hour) {
+void Df3Platform::physics_building(std::size_t b, sim::Time t, util::Celsius t_out,
+                                   util::Celsius seasonal, double hour) {
   const double dt = config_.tick_s;
   const util::Seconds dts{dt};
   Building& bd = *buildings_[b];
@@ -586,20 +575,12 @@ fleet::Substeps2R2C Df3Platform::physics_building(std::size_t b, sim::Time t,
   const util::Celsius target = bd.cfg.comfort.target_at_hour(hour);
   bld_season_[b] = heating_season ? 1 : 0;
   bld_target_c_[b] = target.value();
-  // Activity-gate decision for this tick: the last ungated control sweep
-  // proved every regulator idle-stable (regulate() is a bitwise no-op) and
-  // no exogenous control-plane touch has invalidated the proof since. The
-  // control phase replays the decision from bld_gated_.
-  const bool gated = config_.activity_gating && !heating_season && bld_quiet_[b] != 0 &&
-                     bd.cluster->control_epoch() == bld_quiet_epoch_[b];
-  bld_gated_[b] = gated ? 1 : 0;
   // Solar/occupancy gains ramp with the season (zero in deep winter);
   // identical for every room of the building.
   const double solar_frac = std::clamp((seasonal.value() - 5.0) / 12.0, 0.0, 1.0);
   const double solar_w = bd.cfg.solar_gain_peak_w * solar_frac;
   const std::size_t begin = bd.room_begin;
   const std::size_t end = bd.room_end;
-  fleet::Substeps2R2C sub;
 
   // Pass A (scalar, per room): integrate the interval that just elapsed at
   // the server's current operating point (piecewise-constant at tick
@@ -636,14 +617,12 @@ fleet::Substeps2R2C Df3Platform::physics_building(std::size_t b, sim::Time t,
                              fleet_.r1_resistance.data() + begin,
                              fleet_.r1_decay.data() + begin, fleet_.temp_c.data() + begin);
     } else {
-      // A gated (quiescent) district may stop substepping at a bitwise
-      // fixed point — provably identical to running every substep.
-      sub = fleet::step_rooms_2r2c(
-          n, t_out.value(), q_total_w_.data() + begin, fleet_.r2_r_ae.data() + begin,
-          fleet_.r2_r_eo.data() + begin, fleet_.r2_c_air.data() + begin,
-          fleet_.r2_c_env.data() + begin, fleet_.r2_max_step[begin], fleet_.r2_h_last[begin],
-          fleet_.r2_n_full[begin], /*allow_early_exit=*/gated, fleet_.temp_c.data() + begin,
-          fleet_.env_c.data() + begin);
+      fleet::step_rooms_2r2c(n, t_out.value(), q_total_w_.data() + begin,
+                             fleet_.r2_r_ae.data() + begin, fleet_.r2_r_eo.data() + begin,
+                             fleet_.r2_c_air.data() + begin, fleet_.r2_c_env.data() + begin,
+                             fleet_.r2_max_step[begin], fleet_.r2_h_last[begin],
+                             fleet_.r2_n_full[begin], fleet_.temp_c.data() + begin,
+                             fleet_.env_c.data() + begin);
     }
   }
 
@@ -671,21 +650,6 @@ fleet::Substeps2R2C Df3Platform::physics_building(std::size_t b, sim::Time t,
     tu.scratch_useful_j = std::min(delta_j, wanted.value());
     tu.scratch_draw_lps = draw;
   }
-  return sub;
-}
-
-void Df3Platform::physics_shard(std::size_t s, sim::Time t, util::Celsius t_out,
-                                util::Celsius seasonal, double hour) {
-  const Shard& sh = shards_[s];
-  std::uint64_t run = 0;
-  std::uint64_t skipped = 0;
-  for (std::size_t b = sh.bld_begin; b < sh.bld_end; ++b) {
-    const fleet::Substeps2R2C sub = physics_building(b, t, t_out, seasonal, hour);
-    run += sub.full_steps_run;
-    skipped += sub.full_steps_skipped;
-  }
-  shard_substeps_run_[s] = run;
-  shard_substeps_skipped_[s] = skipped;
 }
 
 std::size_t Df3Platform::thread_count() const {
@@ -699,102 +663,45 @@ std::size_t Df3Platform::thread_count() const {
   return threads_resolved_;
 }
 
-void Df3Platform::control_building_math(std::size_t b, double t_out_c,
-                                        std::vector<std::string>& findings) {
+void Df3Platform::control_building_math(std::size_t b, double t_out_c) {
   Building& bd = *buildings_[b];
-  if (bld_gated_[b] != 0) {
-    // Activity-gated fast path, lane half. The building was proved quiet:
-    // off season the thermostat demand chain is identically zero, every
-    // regulator's regulate() is a bitwise no-op against the observed
-    // server state, and last_demand/last_season already hold zero. Only
-    // the inlet feedback (it drives the thermal throttle and thus
-    // usable_cores) and the kFull no-op replay run here; the ledger and
-    // temperature aggregates belong to the boundary drain.
-    const bool full_audit = auditor_.level() == metrics::AuditLevel::kFull;
-    for (std::size_t i = bd.room_begin; i < bd.room_end; ++i) {
-      hw::DfServer& server = *fleet_.server[i];
-      if (full_audit) {
-        // Replay the skipped regulate() and flag any state change: the
-        // gate's no-op proof must hold bit-for-bit. (The replay itself
-        // keeps the trajectory identical — it is exactly what the stepped
-        // path would have executed.) Findings buffer per lane — the
-        // auditor is shared — and report after the drain in lane order.
-        const bool powered0 = server.powered();
-        const std::size_t pstate0 = server.pstate();
-        const int filler0 = server.filler_cores();
-        const int busy0 = server.busy_cores();
-        fleet_.regulator[i].regulate(server,
-                                     thermal::HeatDemand{util::Watts{0.0}, false});
-        if (server.powered() != powered0 || server.pstate() != pstate0 ||
-            server.filler_cores() != filler0 || server.busy_cores() != busy0) {
-          findings.push_back("activity-gate: regulate() mutated a quiet server in building " +
-                             bd.cfg.name);
-        }
-      }
-      server.set_inlet_temperature(util::Celsius{fleet_.temp_c[i]});
+  const bool heating_season = bld_season_[b] != 0;
+  const double target_c = bld_target_c_[b];
+  // Per-building demand accumulates separately from the city total so the
+  // city_demand_w addition chain (and thus the golden digests) is
+  // untouched; heat-aware routing reads this between ticks.
+  double bld_demand_w = 0.0;
+  for (std::size_t i = bd.room_begin; i < bd.room_end; ++i) {
+    // Modulating thermostat (pure math, mirrored from
+    // ModulatingThermostat::demand + holding_power of the room model).
+    double demand_w = 0.0;
+    if (heating_season) {
+      const double needed = (target_c - t_out_c) / fleet_.hold_r[i] - fleet_.gains_w[i];
+      const double hold = std::max(0.0, needed);
+      const double raw = hold + fleet_.kp_w_per_k[i] * (target_c - fleet_.temp_c[i]);
+      demand_w = std::clamp(raw, 0.0, fleet_.rating_w[i]);
     }
-    bld_demand_w_[b] = 0.0;
-  } else {
-    const bool heating_season = bld_season_[b] != 0;
-    const double target_c = bld_target_c_[b];
-    // Per-building demand accumulates separately from the city total so the
-    // city_demand_w addition chain (and thus the golden digests) is
-    // untouched; heat-aware routing reads this between ticks.
-    double bld_demand_w = 0.0;
-    for (std::size_t i = bd.room_begin; i < bd.room_end; ++i) {
-      // Modulating thermostat (pure math, mirrored from
-      // ModulatingThermostat::demand + holding_power of the room model).
-      double demand_w = 0.0;
-      if (heating_season) {
-        const double needed =
-            (target_c - t_out_c) / fleet_.hold_r[i] - fleet_.gains_w[i];
-        const double hold = std::max(0.0, needed);
-        const double raw = hold + fleet_.kp_w_per_k[i] * (target_c - fleet_.temp_c[i]);
-        demand_w = std::clamp(raw, 0.0, fleet_.rating_w[i]);
-      }
-      hw::DfServer& server = *fleet_.server[i];
-      fleet_.regulator[i].regulate(server,
-                                   thermal::HeatDemand{util::Watts{demand_w}, heating_season});
-      server.set_inlet_temperature(util::Celsius{fleet_.temp_c[i]});
-      fleet_.last_demand_w[i] = demand_w;
-      fleet_.last_season[i] = heating_season ? 1 : 0;
-      bld_demand_w += demand_w;
-    }
-    if (bd.tank_unit) {
-      TankUnit& tu = *bd.tank_unit;
-      const auto demand = tu.tank.demand(tu.scratch_draw_lps, tu.rating);
-      tu.regulator.regulate(*tu.server, demand);
-      // The immersion oil returns cooled from the tank heat exchanger:
-      // inlet sits a design approach (~15 K) below the store, so a store
-      // at setpoint keeps the boiler inside its thermal envelope while an
-      // overheating store still triggers the throttle.
-      tu.server->set_inlet_temperature(util::Celsius{tu.tank.temperature().value() - 15.0});
-      tu.last_demand = demand.power;
-      bld_demand_w += demand.power.value();
-    }
-    bld_demand_w_[b] = bld_demand_w;
-    // Re-derive the quiet proof from the post-regulate server state: the
-    // gate may fire next tick only if regulate() left every chassis where
-    // its idle branch's setters early-return (so replaying it cannot move a
-    // bit). The cluster epoch pins the proof; any exogenous control-plane
-    // touch (fault injector, pinned run, test poking a worker) bumps it
-    // and forces the stepped path until the proof is re-established here.
-    if (config_.activity_gating) {
-      bool quiet = !heating_season && !bd.tank_unit && bd.room_end > bd.room_begin;
-      if (quiet) {
-        const bool aggressive = config_.regulator.gating == GatingPolicy::kAggressive;
-        for (std::size_t i = bd.room_begin; quiet && i < bd.room_end; ++i) {
-          const hw::DfServer& server = *fleet_.server[i];
-          quiet = aggressive ? (!server.powered() && server.busy_cores() == 0 &&
-                                server.filler_cores() == 0)
-                             : (server.powered() && server.pstate() == 0 &&
-                                server.filler_cores() == 0);
-        }
-      }
-      bld_quiet_[b] = quiet ? 1 : 0;
-      if (quiet) bld_quiet_epoch_[b] = bd.cluster->control_epoch();
-    }
+    hw::DfServer& server = *fleet_.server[i];
+    fleet_.regulator[i].regulate(server,
+                                 thermal::HeatDemand{util::Watts{demand_w}, heating_season});
+    server.set_inlet_temperature(util::Celsius{fleet_.temp_c[i]});
+    fleet_.last_demand_w[i] = demand_w;
+    fleet_.last_season[i] = heating_season ? 1 : 0;
+    bld_demand_w += demand_w;
   }
+  if (bd.tank_unit) {
+    TankUnit& tu = *bd.tank_unit;
+    const auto demand = tu.tank.demand(tu.scratch_draw_lps, tu.rating);
+    tu.regulator.regulate(*tu.server, demand);
+    // The immersion oil returns cooled from the tank heat exchanger:
+    // inlet sits a design approach (~15 K) below the store, so a store
+    // at setpoint keeps the boiler inside its thermal envelope while an
+    // overheating store still triggers the throttle.
+    tu.server->set_inlet_temperature(util::Celsius{tu.tank.temperature().value() - 15.0});
+    tu.last_demand = demand.power;
+    bld_demand_w += demand.power.value();
+  }
+  bld_demand_w_[b] = bld_demand_w;
   // Speed sync: a control-quiescent cluster (nothing queued, nothing
   // running) has an engine-free sync_workers() and finishes it here inside
   // the lane; the rest defer to the boundary drain, where event re-arms
@@ -812,50 +719,33 @@ void Df3Platform::control_building_reduce(std::size_t b,
                                           double& city_demand_w, double& city_cores,
                                           double& temp_sum, std::size_t& room_count) {
   Building& bd = *buildings_[b];
-  if (bld_gated_[b] != 0) {
-    // Gated drain half: the ledger split (servers draw standby power even
-    // gated off) and the temperature aggregates. useful_j is exactly +0.0
-    // (last demand was zero), so the useful-heat add is skipped and waste
-    // takes the full delta whether or not the heat stays indoors; the
-    // city/building demand adds would be +0.0 and are elided, as in the
-    // fused sweep.
-    for (std::size_t i = bd.room_begin; i < bd.room_end; ++i) {
-      const util::Joules delta{fleet_.delta_j[i]};
-      energy.add_it(delta);
-      energy.add_overhead(delta * kDfOverheadFraction);
-      energy.add_waste_heat(delta);
-      temp_sum += fleet_.temp_c[i];
-      ++room_count;
-    }
-  } else {
-    for (std::size_t i = bd.room_begin; i < bd.room_end; ++i) {
-      const util::Joules delta{fleet_.delta_j[i]};
-      energy.add_it(delta);
-      energy.add_overhead(delta * kDfOverheadFraction);
-      const util::Joules useful{fleet_.useful_j[i]};
-      if (fleet_.indoors[i] != 0) {
-        energy.add_useful_heat(useful);
-        energy.add_waste_heat(delta - useful);
-      } else {
-        energy.add_waste_heat(delta);
-      }
-      // last_demand_w was written by the lane stage this tick, so this is
-      // the same value (and the same accumulation order) the fused sweep
-      // added.
-      city_demand_w += fleet_.last_demand_w[i];
-      temp_sum += fleet_.temp_c[i];
-      ++room_count;
-    }
-    if (bd.tank_unit) {
-      TankUnit& tu = *bd.tank_unit;
-      const util::Joules delta{tu.scratch_delta_j};
-      energy.add_it(delta);
-      energy.add_overhead(delta * kDfOverheadFraction);
-      const util::Joules useful{tu.scratch_useful_j};
+  for (std::size_t i = bd.room_begin; i < bd.room_end; ++i) {
+    const util::Joules delta{fleet_.delta_j[i]};
+    energy.add_it(delta);
+    energy.add_overhead(delta * kDfOverheadFraction);
+    const util::Joules useful{fleet_.useful_j[i]};
+    if (fleet_.indoors[i] != 0) {
       energy.add_useful_heat(useful);
       energy.add_waste_heat(delta - useful);
-      city_demand_w += tu.last_demand.value();
+    } else {
+      energy.add_waste_heat(delta);
     }
+    // last_demand_w was written by the lane stage this tick, so this is
+    // the same value (and the same accumulation order) the fused sweep
+    // added.
+    city_demand_w += fleet_.last_demand_w[i];
+    temp_sum += fleet_.temp_c[i];
+    ++room_count;
+  }
+  if (bd.tank_unit) {
+    TankUnit& tu = *bd.tank_unit;
+    const util::Joules delta{tu.scratch_delta_j};
+    energy.add_it(delta);
+    energy.add_overhead(delta * kDfOverheadFraction);
+    const util::Joules useful{tu.scratch_useful_j};
+    energy.add_useful_heat(useful);
+    energy.add_waste_heat(delta - useful);
+    city_demand_w += tu.last_demand.value();
   }
   // Deferred speed sync: the event-calendar half of the control loop
   // (settle + re-arm completions, queue pumps, peer hand-offs) happens
@@ -901,7 +791,7 @@ void Df3Platform::tick(sim::Time t) {
   //
   // --- Phase 2: control, in two stages (DESIGN.md §12). The *lane* stage
   // (control_building_math) makes every building-local control decision —
-  // thermostat, regulate(), inlet feedback, quiet proof — and may fan out
+  // thermostat, regulate(), inlet feedback — and may fan out
   // one lane per district shard: within the conservative horizon
   // `now + Network::min_peer_latency()` no cross-cluster influence can
   // reach a lane, so lanes advance this tick instant independently. The
@@ -977,7 +867,10 @@ void Df3Platform::tick(sim::Time t) {
     // the spans.
     pool_->for_each_index(ns, [&](std::size_t s) {
       if (phase_scopes) shard_span_begin_s_[s] = sink->trace().host_now_s();
-      physics_shard(s, t, t_out, seasonal, hour);
+      const Shard& sh = shards_[s];
+      for (std::size_t b = sh.bld_begin; b < sh.bld_end; ++b) {
+        physics_building(b, t, t_out, seasonal, hour);
+      }
       if (phase_scopes) shard_span_end_s_[s] = sink->trace().host_now_s();
     });
     if (phase_scopes) {
@@ -993,7 +886,7 @@ void Df3Platform::tick(sim::Time t) {
       if (phase_scopes) lane_span_begin_s_[s] = sink->trace().host_now_s();
       const Shard& sh = shards_[s];
       for (std::size_t b = sh.bld_begin; b < sh.bld_end; ++b) {
-        control_building_math(b, t_out.value(), lane_findings_[s]);
+        control_building_math(b, t_out.value());
       }
       if (phase_scopes) lane_span_end_s_[s] = sink->trace().host_now_s();
     });
@@ -1011,32 +904,14 @@ void Df3Platform::tick(sim::Time t) {
   } else {
     // Fused serial: physics + both control stages per building; the whole
     // sweep is reported as one physics-phase span.
-    for (std::size_t s = 0; s < ns; ++s) {
-      const Shard& sh = shards_[s];
-      std::uint64_t run = 0;
-      std::uint64_t skipped = 0;
-      for (std::size_t b = sh.bld_begin; b < sh.bld_end; ++b) {
-        const fleet::Substeps2R2C sub = physics_building(b, t, t_out, seasonal, hour);
-        run += sub.full_steps_run;
-        skipped += sub.full_steps_skipped;
-        control_building_math(b, t_out.value(), lane_findings_[s]);
-        control_building_reduce(b, energy, city_demand_w, city_cores, temp_sum, room_count);
-      }
-      shard_substeps_run_[s] = run;
-      shard_substeps_skipped_[s] = skipped;
+    for (std::size_t b = 0; b < nb; ++b) {
+      physics_building(b, t, t_out, seasonal, hour);
+      control_building_math(b, t_out.value());
+      control_building_reduce(b, energy, city_demand_w, city_cores, temp_sum, room_count);
     }
     if (phase_scopes) close_phase(obs::Phase::kPhysicsPhase);
   }
 
-  // Gated-replay findings (buffered per lane under kFull audit) report in
-  // lane order — which is building order, since lanes cover contiguous
-  // ascending building ranges — identically in every execution mode.
-  if (auditor_.level() == metrics::AuditLevel::kFull) {
-    for (auto& lane : lane_findings_) {
-      for (auto& f : lane) auditor_.report(std::move(f));
-      lane.clear();
-    }
-  }
   if (any_queued) {
     for (const auto& b : buildings_) b->cluster->disarm_lane_snapshot();
   }
@@ -1070,21 +945,8 @@ void Df3Platform::tick(sim::Time t) {
     }
   }
 
-  // Gating & substep accounting: a district counts as gated only when
-  // every one of its buildings took the fast path this tick.
-  tick_gated_districts_ = 0;
-  for (std::size_t s = 0; s < ns; ++s) {
-    const Shard& sh = shards_[s];
-    bool all_gated = sh.bld_end > sh.bld_begin;
-    for (std::size_t b = sh.bld_begin; all_gated && b < sh.bld_end; ++b) {
-      all_gated = bld_gated_[b] != 0;
-    }
-    if (all_gated) ++tick_gated_districts_;
-    substeps_run_ += shard_substeps_run_[s];
-    substeps_skipped_ += shard_substeps_skipped_[s];
-  }
   district_ticks_ += ns;
-  gated_district_ticks_ += tick_gated_districts_;
+  substeps_run_ += substeps_per_tick_;
 
   const double room_mean =
       room_count > 0 ? temp_sum / static_cast<double>(room_count) : 0.0;
@@ -1116,7 +978,6 @@ void Df3Platform::feed_metrics(sim::Time t, double room_mean_c, double city_core
   reg.at_gauge(feed_.usable_cores).set(city_cores);
   reg.at_gauge(feed_.heat_demand_w).set(city_demand_w);
   reg.at_gauge(feed_.outdoor_c).set(outdoor_c);
-  reg.at_gauge(feed_.gated_districts).set(static_cast<double>(tick_gated_districts_));
   reg.at_gauge(feed_.regulator_err).set(regulator_relative_error());
   reg.at_gauge(feed_.energy_it_j).set(df_energy_.it().value());
   reg.at_gauge(feed_.energy_useful_j).set(df_energy_.useful_heat().value());

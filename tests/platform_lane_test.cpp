@@ -79,8 +79,8 @@ core::PlatformConfig lane_config(int month, std::size_t threads,
   pc.shard_rooms = 12;
   pc.threads = threads;
   pc.federation_degree = federation_degree;
-  // The gated control path replays regulate() under kFull inside the lane
-  // stage; zero violations proves the replay buffer plumbing too.
+  // Full audit sweeps every cluster's structural invariants after each
+  // lane drain; zero violations proves the drain left them consistent.
   pc.audit = metrics::AuditLevel::kFull;
   return pc;
 }
@@ -170,8 +170,7 @@ TEST(LaneDeterminism, DigestInvariantAcrossControlThreadsAndFederation) {
 }
 
 TEST(LaneDeterminism, DigestInvariantUnderFaultInjectors) {
-  // Worker churn mutates usable cores (and bumps the cluster control
-  // epoch) mid-run; link flaps change the routable topology and invalidate
+  // Worker churn mutates usable cores mid-run; link flaps change the routable topology and invalidate
   // the lookahead cache. Lanes must still match the serial sweep exactly.
   for (const std::size_t fed : {std::size_t{0}, std::size_t{2}}) {
     const RunResult ref = run_lane_city(6, 1, fed, 3.0, run_with_injectors);

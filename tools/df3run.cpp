@@ -48,7 +48,7 @@
 //   slo_window_s (3600)      rolling SLO window for the per-flow report
 //   report (""|json)
 //   threads (0 = one per hardware thread; 1 = serial)
-//   shard_rooms (4096)       activity_gating (true)   federation_degree (0)
+//   shard_rooms (4096)       federation_degree (0)
 //   grid_signals ("" = no grid plane) — per-region carbon/price/renewables
 //              CSV (see df3/grid/signal.hpp for the format); resolved as
 //              given, then relative to the scenario file's directory
@@ -295,7 +295,6 @@ int run(const std::string& config_path, const Options& opts) {
   const double days = cfg.get_double("days", 7.0);
   const long threads = cfg.get_int("threads", 0);
   const long shard_rooms = cfg.get_int("shard_rooms", 4096);
-  const bool activity_gating = cfg.get_bool("activity_gating", true);
   const long federation_degree = cfg.get_int("federation_degree", 0);
   const long trace_capacity = cfg.get_int("trace_capacity", 0);
   const double slo_window_s = cfg.get_double("slo_window_s", 3600.0);
@@ -379,13 +378,12 @@ int run(const std::string& config_path, const Options& opts) {
   pc.start_time = thermal::start_of_month(static_cast<int>(start_month));
   pc.tick_s = tick_s;
   pc.climate = climate_by_name(climate);
-  // Sharded-kernel knobs (DESIGN.md section 8.1). Shard size, thread count
-  // and gating are bit-for-bit neutral; federation_degree keeps the
+  // Sharded-kernel knobs (DESIGN.md section 8.1). Shard size and thread
+  // count are bit-for-bit neutral; federation_degree keeps the
   // full-mesh default bit-identical, while a nonzero ring degree is a real
   // topology choice that changes peer hand-offs.
   pc.threads = static_cast<std::size_t>(threads);
   pc.shard_rooms = static_cast<std::size_t>(shard_rooms);
-  pc.activity_gating = activity_gating;
   pc.federation_degree = static_cast<std::size_t>(federation_degree);
   if (gating == "keepwarm") {
     pc.regulator.gating = core::GatingPolicy::kKeepWarm;
